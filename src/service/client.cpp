@@ -1,9 +1,8 @@
 #include "service/client.hpp"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <chrono>
+#include <cerrno>
 #include <thread>
 #include <utility>
 
@@ -13,16 +12,58 @@
 #include "service/protocol.hpp"
 
 namespace rtp {
-namespace {
 
-/// The ERR code token ("busy" from "code=busy"), empty when absent.
-std::string error_code(std::string_view line) {
-  for (const std::string_view token : split_whitespace(line))
-    if (starts_with(token, "code=")) return std::string(token.substr(5));
-  return {};
+std::chrono::milliseconds backoff_delay(std::uint32_t attempt, std::uint32_t min_ms,
+                                        std::uint32_t max_ms, Rng& rng) {
+  const std::uint32_t shift = attempt < 16 ? attempt : 16;
+  const std::uint64_t uncapped = static_cast<std::uint64_t>(min_ms) << shift;
+  const std::uint64_t capped = uncapped < max_ms ? uncapped : max_ms;
+  return std::chrono::milliseconds(
+      static_cast<std::int64_t>(static_cast<double>(capped) * rng.uniform(0.5, 1.0)));
 }
 
-}  // namespace
+bool exchange_line(int fd, std::string* buffer, std::string_view line,
+                   std::size_t max_line_bytes, const std::string& address,
+                   std::string* reply, std::string* error) {
+  std::string framed(line);
+  framed += '\n';
+  const io::IoResult sent = io::send_all(fd, framed.data(), framed.size());
+  if (!sent.ok()) {
+    *error = address + " send: " + io::describe(sent);
+    return false;
+  }
+  // A fresh connection delivers a greeting before the first reply when the
+  // server greets.
+  for (;;) {
+    const std::size_t pos = buffer->find('\n');
+    if (pos != std::string::npos) {
+      std::string next = buffer->substr(0, pos);
+      buffer->erase(0, pos + 1);
+      if (!next.empty() && next.back() == '\r') next.pop_back();
+      if (starts_with(next, kProtocolVersion)) continue;  // greeting
+      if (!starts_with(next, "OK") && !starts_with(next, "ERR")) {
+        *error = address + ": malformed response '" + next + "'";
+        return false;
+      }
+      *reply = std::move(next);
+      return true;
+    }
+    if (buffer->size() > max_line_bytes) {
+      *error = address + ": oversized response line";
+      return false;
+    }
+    char chunk[4096];
+    const io::IoResult r = io::recv_some(fd, chunk, sizeof(chunk));
+    if (!r.ok()) {
+      *error = address + " recv: " +
+               (r.failed() && (r.error == EAGAIN || r.error == EWOULDBLOCK)
+                    ? std::string("read timed out")
+                    : io::describe(r));
+      return false;
+    }
+    buffer->append(chunk, r.bytes);
+  }
+}
 
 ServiceClient::ServiceClient(std::vector<std::string> addresses, ClientOptions options)
     : options_(options), rng_(options.jitter_seed) {
@@ -68,58 +109,14 @@ bool ServiceClient::ensure_connected(std::string* error) {
 
 bool ServiceClient::exchange(const std::string& line, ClientReply* reply,
                              std::string* error) {
-  const std::string framed = line + "\n";
-  const io::IoResult sent = io::send_all(fd_, framed.data(), framed.size());
-  if (!sent.ok()) {
-    *error = endpoints_[current_].address + " send: " + io::describe(sent);
+  const std::string& address = endpoints_[current_].address;
+  if (!exchange_line(fd_, &buffer_, line, options_.max_line_bytes, address, &reply->line,
+                     error))
     return false;
-  }
-  // Read response lines, skipping greetings (a fresh connection delivers
-  // one before the first response when the server has greetings on).
-  for (;;) {
-    const std::size_t pos = buffer_.find('\n');
-    if (pos != std::string::npos) {
-      std::string response = buffer_.substr(0, pos);
-      buffer_.erase(0, pos + 1);
-      if (!response.empty() && response.back() == '\r') response.pop_back();
-      if (starts_with(response, kProtocolVersion)) continue;  // greeting
-      reply->line = std::move(response);
-      reply->address = endpoints_[current_].address;
-      reply->ok = starts_with(reply->line, "OK");
-      reply->code = reply->ok ? std::string() : error_code(reply->line);
-      if (!reply->ok && !starts_with(reply->line, "ERR")) {
-        *error = endpoints_[current_].address + ": malformed response '" +
-                 reply->line + "'";
-        return false;
-      }
-      return true;
-    }
-    if (buffer_.size() > options_.max_line_bytes) {
-      *error = endpoints_[current_].address + ": oversized response line";
-      return false;
-    }
-    char chunk[4096];
-    const io::IoResult r = io::recv_some(fd_, chunk, sizeof(chunk));
-    if (!r.ok()) {
-      *error = endpoints_[current_].address + " recv: " +
-               (r.failed() && (r.error == EAGAIN || r.error == EWOULDBLOCK)
-                    ? std::string("read timed out")
-                    : io::describe(r));
-      return false;
-    }
-    buffer_.append(chunk, r.bytes);
-  }
-}
-
-void ServiceClient::backoff(std::uint32_t attempt) {
-  const std::uint32_t shift = attempt < 16 ? attempt : 16;
-  const std::uint64_t uncapped = static_cast<std::uint64_t>(options_.backoff_min_ms)
-                                 << shift;
-  const std::uint64_t capped =
-      uncapped < options_.backoff_max_ms ? uncapped : options_.backoff_max_ms;
-  const auto delay = std::chrono::milliseconds(
-      static_cast<std::int64_t>(static_cast<double>(capped) * rng_.uniform(0.5, 1.0)));
-  std::this_thread::sleep_for(delay);
+  reply->address = address;
+  reply->ok = starts_with(reply->line, "OK");
+  reply->code = reply->ok ? std::string() : reply_error_code(reply->line);
+  return true;
 }
 
 ClientReply ServiceClient::request(const std::string& line) {
@@ -129,7 +126,9 @@ ClientReply ServiceClient::request(const std::string& line) {
   ClientReply last_reply;
   bool have_reply = false;
   for (std::uint32_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) backoff(attempt - 1);
+    if (attempt > 0)
+      std::this_thread::sleep_for(backoff_delay(attempt - 1, options_.backoff_min_ms,
+                                                options_.backoff_max_ms, rng_));
     std::string error;
     if (!ensure_connected(&error)) {
       last_error = error;

@@ -22,13 +22,31 @@
 // thread-safe; one client per thread.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/rng.hpp"
 
 namespace rtp {
+
+/// The retry delay ServiceClient and Router share: min(min_ms * 2^attempt,
+/// max_ms) scaled by one uniform draw in [0.5, 1.0) from `rng`.  `attempt`
+/// is 0 for the first retry.
+std::chrono::milliseconds backoff_delay(std::uint32_t attempt, std::uint32_t min_ms,
+                                        std::uint32_t max_ms, Rng& rng);
+
+/// One request/reply exchange on a connected socket, the client side of the
+/// protocol that ServiceClient, Router and MigrationCoordinator share: send
+/// `line`, then read reply lines into *reply, skipping greetings.  *buffer
+/// keeps the bytes read past the reply for the next call.  False with
+/// *error ("<address> ...") on transport failure, a reply longer than
+/// `max_line_bytes`, or a reply that is neither OK nor ERR.
+bool exchange_line(int fd, std::string* buffer, std::string_view line,
+                   std::size_t max_line_bytes, const std::string& address,
+                   std::string* reply, std::string* error);
 
 struct ClientOptions {
   std::uint32_t connect_timeout_ms = 2000;
@@ -86,7 +104,6 @@ class ServiceClient {
 
   bool ensure_connected(std::string* error);
   bool exchange(const std::string& line, ClientReply* reply, std::string* error);
-  void backoff(std::uint32_t attempt);
 
   ClientOptions options_;
   std::vector<Endpoint> endpoints_;

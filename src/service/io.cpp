@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -10,6 +11,13 @@
 
 #include <cerrno>
 #include <cstring>
+#include <istream>
+#include <ostream>
+#include <utility>
+
+#include "core/error.hpp"
+#include "core/log.hpp"
+#include "service/protocol.hpp"
 
 namespace rtp::io {
 namespace {
@@ -56,6 +64,12 @@ IoResult disconnect(std::size_t bytes) {
   r.status = IoStatus::Disconnected;
   r.bytes = bytes;
   return r;
+}
+
+// Best-effort: a socket without it still works, only slower.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 }  // namespace
@@ -221,6 +235,7 @@ int dial_tcp(const std::string& host, std::uint16_t port,
     *error = std::string("socket: ") + std::strerror(errno);
     return -1;
   }
+  set_nodelay(fd);
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     *error = std::string("fcntl: ") + std::strerror(errno);
@@ -260,6 +275,38 @@ int dial_tcp(const std::string& host, std::uint16_t port,
     ::close(fd);
     return -1;
   }
+  return fd;
+}
+
+int listen_loopback(std::uint16_t port, std::uint16_t* bound_port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  RTP_CHECK(fd >= 0, std::string("socket: ") + std::strerror(errno));
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  socklen_t len = sizeof(addr);
+  const char* step = nullptr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
+    step = "bind";
+  else if (::listen(fd, 16) != 0)
+    step = "listen";
+  else if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
+    step = "getsockname";
+  if (step != nullptr) {
+    const std::string reason = std::strerror(errno);
+    ::close(fd);
+    fail(std::string(step) + " 127.0.0.1:" + std::to_string(port) + ": " + reason);
+  }
+  *bound_port = ntohs(addr.sin_port);
+  return fd;
+}
+
+int accept_tcp(int listener) {
+  const int fd = ::accept(listener, nullptr, nullptr);
+  if (fd >= 0) set_nodelay(fd);
   return fd;
 }
 
@@ -319,6 +366,141 @@ IoResult LineReader::read_exact(char* buffer, std::size_t n) {
   IoResult r = recv_exact(fd_, buffer + off, n - off);
   r.bytes += off;
   return r;
+}
+
+LineServer::LineServer(LineServerOptions options, Handler handler, Greeter greeter)
+    : options_(std::move(options)),
+      handler_(std::move(handler)),
+      greeter_(std::move(greeter)),
+      pool_(options_.threads) {}
+
+void LineServer::serve_stream(std::istream& in, std::ostream& out) {
+  if (greeter_) out << greeter_() << "\n" << std::flush;
+  std::string line;
+  std::size_t line_number = 0;
+  bool quit = false;
+  while (!quit && std::getline(in, line)) {
+    const std::string reply = handler_(line, ++line_number, &quit);
+    // Flush per reply: an acknowledged (journaled) event must be visible to
+    // the consumer even if the process dies before the next line.
+    if (!reply.empty()) out << reply << "\n" << std::flush;
+  }
+  out.flush();
+}
+
+std::uint16_t LineServer::listen_on(std::uint16_t port) {
+  RTP_CHECK(listen_fd_.load() < 0, options_.name + " is already listening");
+  std::uint16_t bound = 0;
+  listen_fd_.store(listen_loopback(port, &bound));
+  return bound;
+}
+
+void LineServer::serve() {
+  RTP_CHECK(listen_fd_.load() >= 0, "serve() requires listen_on() first");
+  while (!stopping_.load()) {
+    const int listener = listen_fd_.load();
+    if (listener < 0) break;  // shutdown() already closed it
+    const int client = accept_tcp(listener);
+    if (client < 0) {
+      if (stopping_.load() || errno == EBADF || errno == EINVAL) break;
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      log_warn(options_.name, " accept: ", std::strerror(errno));
+      break;
+    }
+    // Connection admission: beyond the limit, greet with a busy error and
+    // close — the client learns to back off instead of hanging.  Every
+    // connection is counted first (no short-circuit), so each exit path
+    // below gives back exactly one.
+    if (connections_.fetch_add(1, std::memory_order_relaxed) >= options_.max_connections &&
+        options_.max_connections > 0) {
+      connections_.fetch_sub(1, std::memory_order_relaxed);
+      shed_connections_.fetch_add(1, std::memory_order_relaxed);
+      const std::string busy =
+          format_error(0, ProtocolErrorCode::Busy,
+                       options_.refusal + " at connection limit; retry") +
+          "\n";
+      send_all(client, busy.data(), busy.size());  // best-effort
+      ::close(client);
+      continue;
+    }
+    pool_.submit([this, client] {
+      try {
+        serve_connection(client);
+      } catch (const std::exception& e) {
+        // The pool requires non-throwing tasks; a broken client connection
+        // must not take the server down.
+        log_warn(options_.name, " connection error: ", e.what());
+      }
+      ::close(client);
+      connections_.fetch_sub(1, std::memory_order_relaxed);
+    });
+  }
+  pool_.wait_idle();
+}
+
+void LineServer::shutdown() {
+  stopping_.store(true);
+  // exchange() so concurrent shutdown() calls close the listener once.
+  const int fd = listen_fd_.exchange(-1);
+  if (fd >= 0) {
+    ::shutdown(fd, SHUT_RDWR);
+    ::close(fd);
+  }
+}
+
+bool LineServer::send_text(int fd, const std::string& text) {
+  const IoResult r = send_all(fd, text.data(), text.size());
+  if (r.failed()) log_warn(options_.name, " send: ", describe(r));
+  return r.ok();  // Disconnected ends the connection quietly
+}
+
+void LineServer::serve_connection(int fd) {
+  // A client that stops draining replies blocks our send; bound the stall
+  // so one slow reader cannot pin a worker forever.
+  if (options_.write_timeout_ms > 0) {
+    timeval tv{};
+    tv.tv_sec = options_.write_timeout_ms / 1000;
+    tv.tv_usec = static_cast<suseconds_t>((options_.write_timeout_ms % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+  }
+  if (greeter_ && !send_text(fd, greeter_() + "\n")) return;
+
+  std::string buffer;   // bytes of the line still incomplete after a recv
+  std::string replies;  // every reply to one recv's complete lines
+  std::size_t line_number = 0;
+  bool quit = false;
+  char chunk[4096];
+  while (!quit) {
+    const IoResult r = recv_some(fd, chunk, sizeof(chunk));
+    if (!r.ok()) {
+      if (r.failed()) log_warn(options_.name, " recv: ", describe(r));
+      return;  // disconnect (or shutdown closing the socket)
+    }
+    buffer.append(chunk, r.bytes);
+    std::size_t start = 0;
+    for (std::size_t end; !quit && (end = buffer.find('\n', start)) != std::string::npos;
+         start = end + 1) {
+      std::string_view line(buffer.data() + start, end - start);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      const std::string reply = handler_(line, ++line_number, &quit);
+      if (!reply.empty()) replies.append(reply).push_back('\n');
+    }
+    buffer.erase(0, start);
+    // A newline-free flood must not grow the reassembly buffer without
+    // bound: answer the complete lines, then a parse error, and close.
+    const bool overflow =
+        !quit && options_.max_line_bytes > 0 && buffer.size() > options_.max_line_bytes;
+    if (overflow) {
+      overflows_.fetch_add(1, std::memory_order_relaxed);
+      replies += format_error(line_number + 1, ProtocolErrorCode::Parse,
+                              "line exceeds " + std::to_string(options_.max_line_bytes) +
+                                  " bytes without a newline") +
+                 "\n";
+    }
+    if (!replies.empty() && !send_text(fd, replies)) return;
+    if (overflow) return;
+    replies.clear();
+  }
 }
 
 }  // namespace rtp::io

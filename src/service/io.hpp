@@ -8,12 +8,23 @@
 // logged as a server error), and a real failure (ENOSPC, EIO, a send
 // timeout on a slow client) whose errno is preserved for the caller's
 // structured error message.
+//
+// Every TCP socket is made here too (the rtlint `raw-socket` rule enforces
+// it), so every one of them gets TCP_NODELAY: the protocols are request /
+// reply over complete lines, and Nagle's algorithm would hold a pipelined
+// reply until the peer's delayed ACK.  LineServer is the one line-serving
+// loop behind rtpd and rtprouter.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <string>
 #include <string_view>
+
+#include "core/thread_pool.hpp"
 
 namespace rtp::io {
 
@@ -67,10 +78,19 @@ bool split_hostport(std::string_view address, std::string* host,
                     std::uint16_t* port, std::string* error);
 
 /// Connect a TCP socket to host:port with a bounded connect timeout
-/// (non-blocking connect + poll).  Returns the connected fd, or -1 with
-/// *error describing the failure.  timeout_ms == 0 waits indefinitely.
+/// (non-blocking connect + poll), with TCP_NODELAY set.  Returns the
+/// connected fd, or -1 with *error describing the failure.  timeout_ms == 0
+/// waits indefinitely.
 int dial_tcp(const std::string& host, std::uint16_t port,
              std::uint32_t timeout_ms, std::string* error);
+
+/// Bind a TCP listener on 127.0.0.1:`port` (0 picks an ephemeral port) and
+/// store the bound port in *bound_port.  Throws rtp::Error on failure.
+int listen_loopback(std::uint16_t port, std::uint16_t* bound_port);
+
+/// Accept one connection with TCP_NODELAY set.  Returns -1 with errno from
+/// accept(2) on failure.
+int accept_tcp(int listener);
 
 /// dial_tcp plus an SO_RCVTIMEO receive deadline on the connected socket,
 /// the client-side idiom shared by ServiceClient, the replication follower
@@ -100,6 +120,81 @@ class LineReader {
  private:
   int fd_;
   std::string buffer_;
+};
+
+struct LineServerOptions {
+  /// Log prefix ("rtpd", "rtprouter").
+  std::string name;
+  /// Greets a connection refused at the limit: "<refusal> at connection
+  /// limit; retry".
+  std::string refusal;
+  /// Connection worker threads (0 = hardware concurrency).
+  std::size_t threads = 2;
+  /// Simultaneous connections; excess ones get a busy error and are closed
+  /// before anything is read.  0 = no limit.
+  std::size_t max_connections = 64;
+  /// SO_SNDTIMEO: a client that stops draining replies this long is
+  /// dropped.  0 = kernel default.
+  std::uint32_t write_timeout_ms = 5000;
+  /// A partial line longer than this without a newline gets a parse error
+  /// and the connection is closed (bounds the reassembly buffer).  0 = no
+  /// limit.
+  std::size_t max_line_bytes = 64 * 1024;
+};
+
+/// The newline-framed request loop shared by rtpd and rtprouter, over a
+/// loopback TCP listener or a stream pair.  Each complete line goes to the
+/// handler with its 1-based line number (counted across reads); a non-empty
+/// return is the reply.  On TCP the replies to all complete lines of one
+/// recv leave in a single write, so pipelined requests cost one segment
+/// per batch rather than one per reply.  A line that sets *quit is the last
+/// one served.
+class LineServer {
+ public:
+  using Handler =
+      std::function<std::string(std::string_view line, std::size_t line_number, bool* quit)>;
+  /// Returns the greeting line (no newline); an empty function disables it.
+  using Greeter = std::function<std::string()>;
+
+  LineServer(LineServerOptions options, Handler handler, Greeter greeter);
+  ~LineServer() { shutdown(); }
+
+  LineServer(const LineServer&) = delete;
+  LineServer& operator=(const LineServer&) = delete;
+
+  /// Stream mode.  Each reply is flushed as it is written, so a consumer
+  /// (or a crash harness) sees every acknowledged request immediately.
+  void serve_stream(std::istream& in, std::ostream& out);
+
+  /// Bind 127.0.0.1:`port` (0 = ephemeral); returns the bound port.
+  std::uint16_t listen_on(std::uint16_t port);
+  /// Accept loop; blocks until shutdown(), then waits for open connections.
+  void serve();
+  /// Stop the accept loop and close the listener (any thread, idempotent).
+  void shutdown();
+
+  /// Connections refused at max_connections.
+  std::uint64_t shed_connections() const {
+    return shed_connections_.load(std::memory_order_relaxed);
+  }
+  /// Connections closed for an overlong newline-free line.
+  std::uint64_t overflows() const { return overflows_.load(std::memory_order_relaxed); }
+
+ private:
+  void serve_connection(int fd);
+  bool send_text(int fd, const std::string& text);
+
+  LineServerOptions options_;
+  Handler handler_;
+  Greeter greeter_;
+  ThreadPool pool_;
+  std::atomic<std::size_t> connections_{0};
+  std::atomic<std::uint64_t> shed_connections_{0};
+  std::atomic<std::uint64_t> overflows_{0};
+  // Written by shutdown() from any thread while serve() reads it; -1 means
+  // "not listening".
+  std::atomic<int> listen_fd_{-1};
+  std::atomic<bool> stopping_{false};
 };
 
 /// Test seam: the syscalls the wrappers above sit on, swappable so tests

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "core/error.hpp"
 #include "core/log.hpp"
 #include "core/strings.hpp"
+#include "service/client.hpp"
 #include "service/io.hpp"
 #include "service/protocol.hpp"
 
@@ -70,36 +70,13 @@ std::string MigrationCoordinator::worker_request(const std::string& address,
   const int fd = io::dial_tcp_rcvtimeo(host, port, options_.connect_timeout_ms,
                                        options_.read_timeout_ms, &error);
   RTP_CHECK(fd >= 0, address + ": " + error);
-  const std::string framed = line + "\n";
-  const io::IoResult sent = io::send_all(fd, framed.data(), framed.size());
-  if (!sent.ok()) {
-    ::close(fd);
-    fail(address + " send: " + io::describe(sent));
-  }
-  std::string buffer;
-  for (;;) {
-    const std::size_t pos = buffer.find('\n');
-    if (pos != std::string::npos) {
-      std::string reply = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!reply.empty() && reply.back() == '\r') reply.pop_back();
-      if (starts_with(reply, kProtocolVersion)) continue;  // greeting
-      ::close(fd);
-      RTP_CHECK(starts_with(reply, "OK") || starts_with(reply, "ERR"),
-                address + ": malformed response '" + reply + "'");
-      return reply;
-    }
-    char chunk[4096];
-    const io::IoResult r = io::recv_some(fd, chunk, sizeof(chunk));
-    if (!r.ok() || r.bytes == 0) {
-      ::close(fd);
-      fail(address + " recv: " +
-           (r.failed() && (r.error == EAGAIN || r.error == EWOULDBLOCK)
-                ? std::string("read timed out")
-                : r.failed() ? io::describe(r) : std::string("connection closed")));
-    }
-    buffer.append(chunk, r.bytes);
-  }
+  // 1 MiB, the client's and the router's reply cap, bounds a runaway worker.
+  std::string buffer, reply;
+  const bool ok = exchange_line(fd, &buffer, line, std::size_t{1} << 20, address, &reply,
+                                &error);
+  ::close(fd);
+  RTP_CHECK(ok, error);
+  return reply;
 }
 
 std::string MigrationCoordinator::require_ok(std::string reply,

@@ -386,6 +386,12 @@ std::string to_string(ProtocolErrorCode code) {
   fail("unreachable protocol error code");
 }
 
+std::string reply_error_code(std::string_view line) {
+  for (const std::string_view token : split_whitespace(line))
+    if (starts_with(token, "code=")) return std::string(token.substr(5));
+  return {};
+}
+
 std::string format_double_bits(double value) { return double_bits_hex(value); }
 
 double parse_double_bits(std::string_view text) {

@@ -172,6 +172,10 @@ std::string format_moved(std::size_t line_number, std::uint64_t map_version,
 
 std::string to_string(ProtocolErrorCode code);
 
+/// The code token of a reply ("busy" from "ERR line=3 code=busy ..."),
+/// empty when absent — what retry and failover decisions key on.
+std::string reply_error_code(std::string_view line);
+
 /// Deterministic number rendering used across responses and the event-log
 /// dumper: fixed notation, up to 6 fractional digits, trailing zeros
 /// trimmed ("12", "0.5", "3.25").

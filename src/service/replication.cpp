@@ -1,10 +1,7 @@
 #include "service/replication.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -20,6 +17,7 @@
 #include "core/log.hpp"
 #include "core/rng.hpp"
 #include "core/strings.hpp"
+#include "service/client.hpp"
 #include "service/io.hpp"
 #include "service/server.hpp"
 #include "service/session.hpp"
@@ -354,12 +352,8 @@ void ReplicationSender::run_follower(Follower& follower, std::uint64_t seed) {
     return stopped() || follower.stop.load(std::memory_order_acquire);
   };
   const auto backoff = [&] {
-    const std::uint32_t shift = attempt < 16 ? attempt : 16;
-    const std::uint64_t uncapped = static_cast<std::uint64_t>(options_.backoff_min_ms) << shift;
-    const std::uint64_t capped =
-        uncapped < options_.backoff_max_ms ? uncapped : options_.backoff_max_ms;
-    const auto delay = std::chrono::milliseconds(
-        static_cast<std::int64_t>(static_cast<double>(capped) * rng.uniform(0.5, 1.0)));
+    const auto delay =
+        backoff_delay(attempt, options_.backoff_min_ms, options_.backoff_max_ms, rng);
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait_for(lock, delay, [this, &follower] {
       return stop_ || follower.stop.load(std::memory_order_acquire);
@@ -631,29 +625,7 @@ FollowerApplier::~FollowerApplier() { stop(); }
 
 std::uint16_t FollowerApplier::listen_on(std::uint16_t port) {
   RTP_CHECK(listen_fd_ < 0, "follower is already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  RTP_CHECK(fd >= 0, std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("replication bind 127.0.0.1:" + std::to_string(port) + ": " + reason);
-  }
-  if (::listen(fd, 4) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("replication listen: " + reason);
-  }
-  socklen_t len = sizeof(addr);
-  RTP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-            "getsockname failed");
-  listen_fd_ = fd;
-  listen_port_ = ntohs(addr.sin_port);
+  listen_fd_ = io::listen_loopback(port, &listen_port_);
   return listen_port_;
 }
 
@@ -753,7 +725,7 @@ void FollowerApplier::run() {
 }
 
 void FollowerApplier::accept_connection() {
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  const int fd = io::accept_tcp(listen_fd_);
   if (fd < 0) return;
   // A second primary connecting supersedes the first (the old one is dead
   // or being replaced); the newest connection wins.

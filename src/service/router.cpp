@@ -1,13 +1,8 @@
 #include "service/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -15,6 +10,7 @@
 #include "core/error.hpp"
 #include "core/log.hpp"
 #include "core/strings.hpp"
+#include "service/client.hpp"
 #include "service/io.hpp"
 #include "service/journal.hpp"  // crc32
 #include "service/migrate.hpp"
@@ -22,13 +18,6 @@
 
 namespace rtp {
 namespace {
-
-/// The ERR code token ("busy" from "code=busy"), empty when absent.
-std::string error_code(std::string_view line) {
-  for (const std::string_view token : split_whitespace(line))
-    if (starts_with(token, "code=")) return std::string(token.substr(5));
-  return {};
-}
 
 /// Rewrite a forwarded ERR's line= token to the client's own line number:
 /// a pooled backend connection counts its own lines, so the worker's value
@@ -214,7 +203,17 @@ PartitionMap decode_map_line(std::string_view text) {
 }
 
 Router::Router(PartitionMap map, RouterOptions options)
-    : options_(options), pool_(options.threads), rng_(options.jitter_seed) {
+    : options_(options),
+      rng_(options.jitter_seed),
+      transport_(
+          io::LineServerOptions{"rtprouter", "router", options.threads,
+                                options.max_connections, options.write_timeout_ms,
+                                options.max_line_bytes},
+          [this](std::string_view line, std::size_t line_number, bool* quit) {
+            return handle_line(line, line_number, quit);
+          },
+          options.greeting ? io::LineServer::Greeter([this] { return greeting(); })
+                           : io::LineServer::Greeter()) {
   table_ = make_table(std::move(map));
 }
 
@@ -360,61 +359,12 @@ void Router::checkin(Backend& backend, PooledConn conn) {
   backend.idle.push_back(std::move(conn));
 }
 
-bool Router::exchange(Backend& backend, PooledConn& conn, std::string_view line,
-                      std::string* response, std::string* error) {
-  std::string framed(line);
-  framed += '\n';
-  const io::IoResult sent = io::send_all(conn.fd, framed.data(), framed.size());
-  if (!sent.ok()) {
-    *error = backend.address + " send: " + io::describe(sent);
-    return false;
-  }
-  // Read response lines, skipping greetings (a fresh pooled connection
-  // delivers one before the first response when the worker greets).
-  for (;;) {
-    const std::size_t pos = conn.buffer.find('\n');
-    if (pos != std::string::npos) {
-      std::string reply = conn.buffer.substr(0, pos);
-      conn.buffer.erase(0, pos + 1);
-      if (!reply.empty() && reply.back() == '\r') reply.pop_back();
-      if (starts_with(reply, kProtocolVersion)) continue;  // greeting
-      if (!starts_with(reply, "OK") && !starts_with(reply, "ERR")) {
-        *error = backend.address + ": malformed response '" + reply + "'";
-        return false;
-      }
-      *response = std::move(reply);
-      return true;
-    }
-    if (conn.buffer.size() > options_.max_line_bytes) {
-      *error = backend.address + ": oversized response line";
-      return false;
-    }
-    char chunk[4096];
-    const io::IoResult r = io::recv_some(conn.fd, chunk, sizeof(chunk));
-    if (!r.ok()) {
-      *error = backend.address + " recv: " +
-               (r.failed() && (r.error == EAGAIN || r.error == EWOULDBLOCK)
-                    ? std::string("read timed out")
-                    : io::describe(r));
-      return false;
-    }
-    conn.buffer.append(chunk, r.bytes);
-  }
-}
-
 void Router::backoff(std::uint32_t attempt) {
-  const std::uint32_t shift = attempt < 16 ? attempt : 16;
-  const std::uint64_t uncapped = static_cast<std::uint64_t>(options_.backoff_min_ms)
-                                 << shift;
-  const std::uint64_t capped =
-      uncapped < options_.backoff_max_ms ? uncapped : options_.backoff_max_ms;
-  double scale;
-  {
-    std::lock_guard<std::mutex> lock(rng_mutex_);
-    scale = rng_.uniform(0.5, 1.0);
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(
-      static_cast<std::int64_t>(static_cast<double>(capped) * scale)));
+  std::unique_lock<std::mutex> lock(rng_mutex_);
+  const std::chrono::milliseconds delay =
+      backoff_delay(attempt, options_.backoff_min_ms, options_.backoff_max_ms, rng_);
+  lock.unlock();
+  std::this_thread::sleep_for(delay);
 }
 
 std::string Router::forward(const RoutingTable& table, std::size_t partition_index,
@@ -438,7 +388,8 @@ std::string Router::forward(const RoutingTable& table, std::size_t partition_ind
     }
     forwarded_.fetch_add(1, std::memory_order_relaxed);
     std::string response;
-    bool ok = exchange(backend, conn, line, &response, &error);
+    bool ok = exchange_line(conn.fd, &conn.buffer, line, options_.max_line_bytes,
+                            backend.address, &response, &error);
     if (!ok && pooled) {
       // A pooled connection failing on first use usually means the worker
       // restarted since it was pooled (the FIN raced the checkout): retire
@@ -454,7 +405,8 @@ std::string Router::forward(const RoutingTable& table, std::size_t partition_ind
       if (fd >= 0) {
         conn.fd = fd;
         forwarded_.fetch_add(1, std::memory_order_relaxed);
-        ok = exchange(backend, conn, line, &response, &error);
+        ok = exchange_line(conn.fd, &conn.buffer, line, options_.max_line_bytes,
+                           backend.address, &response, &error);
       } else {
         error = backend.address + " redial: " + dial_error;
       }
@@ -467,7 +419,7 @@ std::string Router::forward(const RoutingTable& table, std::size_t partition_ind
       continue;
     }
     const std::string code =
-        starts_with(response, "ERR") ? error_code(response) : std::string();
+        starts_with(response, "ERR") ? reply_error_code(response) : std::string();
     if (code == "busy") {
       // Overloaded, not gone: the connection is healthy, back off and retry
       // the same replica.
@@ -533,7 +485,7 @@ std::string Router::route_and_forward(std::string_view key, std::string_view lin
     }
     table->partitions[partition].load.fetch_add(1, std::memory_order_relaxed);
     response = forward(*table, partition, line, line_number);
-    if (!starts_with(response, "ERR") || error_code(response) != "moved")
+    if (!starts_with(response, "ERR") || reply_error_code(response) != "moved")
       return response;
     if (hop == 0) {
       moved_redirects_.fetch_add(1, std::memory_order_relaxed);
@@ -597,12 +549,12 @@ std::string Router::stats_response(const RoutingTable& table, bool with_hist,
       " map_version=" + std::to_string(table.map.version) +
       " default=" + std::to_string(table.map.default_partition) +
       " router_requests=" + std::to_string(requests_.load(std::memory_order_relaxed)) +
-      " router_errors=" + std::to_string(errors_.load(std::memory_order_relaxed)) +
+      " router_errors=" +
+      std::to_string(errors_.load(std::memory_order_relaxed) + transport_.overflows()) +
       " router_forwarded=" + std::to_string(forwarded_.load(std::memory_order_relaxed)) +
       " router_retries=" + std::to_string(retries_.load(std::memory_order_relaxed)) +
       " router_failovers=" + std::to_string(failovers_.load(std::memory_order_relaxed)) +
-      " router_shed_connections=" +
-      std::to_string(shed_connections_.load(std::memory_order_relaxed)) +
+      " router_shed_connections=" + std::to_string(transport_.shed_connections()) +
       " router_moved_redirects=" +
       std::to_string(moved_redirects_.load(std::memory_order_relaxed)) +
       " router_stale_retires=" +
@@ -726,148 +678,23 @@ std::string Router::handle_line(std::string_view line, std::size_t line_number,
 }
 
 void Router::serve_stream(std::istream& in, std::ostream& out) {
-  if (options_.greeting) out << greeting() << "\n" << std::flush;
-  std::string line;
-  std::size_t line_number = 0;
-  bool quit = false;
-  while (!quit && std::getline(in, line)) {
-    ++line_number;
-    const std::string response = handle_line(line, line_number, &quit);
-    if (!response.empty()) out << response << "\n" << std::flush;
-  }
-  out.flush();
+  transport_.serve_stream(in, out);
 }
 
-std::uint16_t Router::listen_on(std::uint16_t port) {
-  RTP_CHECK(listen_fd_.load() < 0, "router is already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  RTP_CHECK(fd >= 0, std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+std::uint16_t Router::listen_on(std::uint16_t port) { return transport_.listen_on(port); }
 
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("bind 127.0.0.1:" + std::to_string(port) + ": " + reason);
-  }
-  if (::listen(fd, 16) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("listen: " + reason);
-  }
-  socklen_t len = sizeof(addr);
-  RTP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-            "getsockname failed");
-  listen_fd_.store(fd);
-  return ntohs(addr.sin_port);
-}
+void Router::serve() { transport_.serve(); }
 
-void Router::serve() {
-  RTP_CHECK(listen_fd_.load() >= 0, "serve() requires listen_on() first");
-  while (!stopping_.load()) {
-    const int listener = listen_fd_.load();
-    if (listener < 0) break;  // shutdown() already closed it
-    const int client = ::accept(listener, nullptr, nullptr);
-    if (client < 0) {
-      if (stopping_.load() || errno == EBADF || errno == EINVAL) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      log_warn("rtprouter accept: ", std::strerror(errno));
-      break;
-    }
-    if (options_.max_connections > 0 &&
-        connections_.fetch_add(1, std::memory_order_relaxed) >= options_.max_connections) {
-      connections_.fetch_sub(1, std::memory_order_relaxed);
-      shed_connections_.fetch_add(1, std::memory_order_relaxed);
-      const std::string busy =
-          format_error(0, ProtocolErrorCode::Busy, "router at connection limit; retry") +
-          "\n";
-      io::send_all(client, busy.data(), busy.size());  // best-effort
-      ::close(client);
-      continue;
-    }
-    if (options_.max_connections == 0)
-      connections_.fetch_add(1, std::memory_order_relaxed);
-    pool_.submit([this, client] {
-      try {
-        handle_connection(client);
-      } catch (const std::exception& e) {
-        log_warn("rtprouter connection error: ", e.what());
-      }
-      ::close(client);
-      connections_.fetch_sub(1, std::memory_order_relaxed);
-    });
-  }
-  pool_.wait_idle();
-}
-
-void Router::shutdown() {
-  stopping_.store(true);
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
-void Router::handle_connection(int fd) {
-  if (options_.write_timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = options_.write_timeout_ms / 1000;
-    tv.tv_usec = static_cast<suseconds_t>((options_.write_timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-
-  const auto send_line = [&](const std::string& text) {
-    const std::string framed = text + "\n";
-    const io::IoResult r = io::send_all(fd, framed.data(), framed.size());
-    if (r.failed()) log_warn("rtprouter send: ", io::describe(r));
-    return r.ok();  // Disconnected ends the connection quietly
-  };
-
-  if (options_.greeting && !send_line(greeting())) return;
-
-  std::string buffer;
-  std::size_t line_number = 0;
-  bool quit = false;
-  char chunk[4096];
-  while (!quit) {
-    const io::IoResult r = io::recv_some(fd, chunk, sizeof(chunk));
-    if (!r.ok() || r.bytes == 0) {
-      if (r.failed()) log_warn("rtprouter recv: ", io::describe(r));
-      break;
-    }
-    buffer.append(chunk, r.bytes);
-    std::size_t pos;
-    while (!quit && (pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      ++line_number;
-      const std::string response = handle_line(line, line_number, &quit);
-      if (!response.empty() && !send_line(response)) return;
-    }
-    if (options_.max_line_bytes > 0 && buffer.size() > options_.max_line_bytes) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      send_line(format_error(line_number + 1, ProtocolErrorCode::Parse,
-                             "line exceeds " + std::to_string(options_.max_line_bytes) +
-                                 " bytes without a newline"));
-      return;
-    }
-  }
-}
+void Router::shutdown() { transport_.shutdown(); }
 
 RouterStats Router::stats() const {
   RouterStats out;
   out.requests = requests_.load(std::memory_order_relaxed);
-  out.errors = errors_.load(std::memory_order_relaxed);
+  out.errors = errors_.load(std::memory_order_relaxed) + transport_.overflows();
   out.forwarded = forwarded_.load(std::memory_order_relaxed);
   out.retries = retries_.load(std::memory_order_relaxed);
   out.failovers = failovers_.load(std::memory_order_relaxed);
-  out.shed_connections = shed_connections_.load(std::memory_order_relaxed);
+  out.shed_connections = transport_.shed_connections();
   out.moved_redirects = moved_redirects_.load(std::memory_order_relaxed);
   out.stale_retires = stale_retires_.load(std::memory_order_relaxed);
   out.paused_waits = paused_waits_.load(std::memory_order_relaxed);

@@ -76,7 +76,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
-#include "core/thread_pool.hpp"
+#include "service/io.hpp"
 #include "stats/histogram.hpp"
 
 namespace rtp {
@@ -278,10 +278,6 @@ class Router {
   /// True when a newer map was installed.
   bool refresh_map(const RoutingTable& table, std::size_t partition_index,
                    std::size_t line_number);
-  /// One send/receive on a checked-out connection; false on transport
-  /// failure (*error set).
-  bool exchange(Backend& backend, PooledConn& conn, std::string_view line,
-                std::string* response, std::string* error);
   /// `*pooled` reports whether the connection came from the idle pool
   /// (stale-retire candidate) rather than a fresh dial.
   bool checkout(Backend& backend, PooledConn* conn, bool* pooled,
@@ -298,7 +294,6 @@ class Router {
                              std::size_t line_number);
 
   std::string greeting() const;
-  void handle_connection(int fd);
   std::string local_error(std::size_t line_number, std::string_view line);
 
   RouterOptions options_;
@@ -307,7 +302,6 @@ class Router {
   mutable std::mutex backends_mutex_;  ///< guards backends_ growth/lookup
   std::deque<Backend> backends_;       ///< append-only; entries never move
   std::map<std::string, std::size_t, std::less<>> backend_index_;  ///< guarded by backends_mutex_
-  ThreadPool pool_;
   MigrationCoordinator* coordinator_ = nullptr;  // set during setup
 
   // Drain-window gate.
@@ -321,17 +315,16 @@ class Router {
   std::atomic<std::uint64_t> forwarded_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> failovers_{0};
-  std::atomic<std::uint64_t> shed_connections_{0};
   std::atomic<std::uint64_t> moved_redirects_{0};
   std::atomic<std::uint64_t> stale_retires_{0};
   std::atomic<std::uint64_t> paused_waits_{0};
-  std::atomic<std::size_t> connections_{0};
 
   std::mutex rng_mutex_;
   Rng rng_;
 
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<bool> stopping_{false};
+  // Last member: destroyed first, so no connection worker outlives the
+  // state its handler reads.
+  io::LineServer transport_;
 };
 
 }  // namespace rtp

@@ -1,20 +1,14 @@
 #include "service/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <fcntl.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <thread>
-#include <istream>
-#include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "core/error.hpp"
 #include "core/log.hpp"
@@ -92,8 +86,15 @@ void remove_retire_marker(const std::string& path) {
 ServiceServer::ServiceServer(OnlineSession& session, ServerOptions options)
     : session_(session),
       options_(options),
-      pool_(options.threads),
-      started_(std::chrono::steady_clock::now()) {
+      started_(std::chrono::steady_clock::now()),
+      transport_(
+          io::LineServerOptions{"rtpd", "server", options.threads, options.max_connections,
+                                options.write_timeout_ms, options.max_line_bytes},
+          [this](std::string_view line, std::size_t line_number, bool* quit) {
+            return handle_line(line, line_number, quit);
+          },
+          options.greeting ? io::LineServer::Greeter([this] { return greeting(); })
+                           : io::LineServer::Greeter()) {
   // A source that was kill -9'd after retiring must come back retired —
   // the destination owns the session now, and answering events here would
   // be a split brain.
@@ -439,7 +440,8 @@ std::string ServiceServer::stats_body(bool with_hist) const {
   const double qps = uptime > 0.0 ? static_cast<double>(requests) / uptime : 0.0;
   std::string out =
       "requests=" + std::to_string(requests) +
-      " errors=" + std::to_string(errors_.load(std::memory_order_relaxed)) +
+      " errors=" +
+      std::to_string(errors_.load(std::memory_order_relaxed) + transport_.overflows()) +
       " qps=" + format_number(qps) + " events=" + std::to_string(c.events) +
       " queries=" + std::to_string(c.queries) +
       " cache_hits=" + std::to_string(c.cache_hits) +
@@ -453,8 +455,7 @@ std::string ServiceServer::stats_body(bool with_hist) const {
       " mean_wait_s=" + format_number(session_.wait_stats().mean()) +
       " mean_abs_err_s=" + format_number(session_.error_stats().mean()) +
       " shed=" + std::to_string(shed_.load(std::memory_order_relaxed)) +
-      " shed_connections=" +
-      std::to_string(shed_connections_.load(std::memory_order_relaxed));
+      " shed_connections=" + std::to_string(transport_.shed_connections());
   // Incremental-shadow repair accounting; absent on the legacy path, so a
   // legacy server's STATS line is byte-identical to before.
   if (const ShadowCounters* shadow = session_.shadow_counters(); shadow != nullptr) {
@@ -592,158 +593,24 @@ std::string ServiceServer::handle_line(std::string_view line, std::size_t line_n
 }
 
 void ServiceServer::serve_stream(std::istream& in, std::ostream& out) {
-  if (options_.greeting) out << greeting() << "\n" << std::flush;
-  std::string line;
-  std::size_t line_number = 0;
-  bool quit = false;
-  while (!quit && std::getline(in, line)) {
-    ++line_number;
-    const std::string response = handle_line(line, line_number, &quit);
-    // Flush per response: an acknowledged (journaled) event must be visible
-    // to the consumer even if the process dies before the next line.
-    if (!response.empty()) out << response << "\n" << std::flush;
-  }
-  out.flush();
+  transport_.serve_stream(in, out);
 }
 
 std::uint16_t ServiceServer::listen_on(std::uint16_t port) {
-  RTP_CHECK(listen_fd_.load() < 0, "server is already listening");
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  RTP_CHECK(fd >= 0, std::string("socket: ") + std::strerror(errno));
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("bind 127.0.0.1:" + std::to_string(port) + ": " + reason);
-  }
-  if (::listen(fd, 16) != 0) {
-    const std::string reason = std::strerror(errno);
-    ::close(fd);
-    fail("listen: " + reason);
-  }
-  socklen_t len = sizeof(addr);
-  RTP_CHECK(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0,
-            "getsockname failed");
-  listen_fd_.store(fd);
-  return ntohs(addr.sin_port);
+  return transport_.listen_on(port);
 }
 
-void ServiceServer::serve() {
-  RTP_CHECK(listen_fd_.load() >= 0, "serve() requires listen_on() first");
-  while (!stopping_.load()) {
-    const int listener = listen_fd_.load();
-    if (listener < 0) break;  // shutdown() already closed it
-    const int client = ::accept(listener, nullptr, nullptr);
-    if (client < 0) {
-      if (stopping_.load() || errno == EBADF || errno == EINVAL) break;
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      log_warn("rtpd accept: ", std::strerror(errno));
-      break;
-    }
-    // Connection admission: beyond the limit, greet with a busy error and
-    // close — the client learns to back off instead of hanging.
-    if (options_.max_connections > 0 &&
-        connections_.fetch_add(1, std::memory_order_relaxed) >= options_.max_connections) {
-      connections_.fetch_sub(1, std::memory_order_relaxed);
-      shed_connections_.fetch_add(1, std::memory_order_relaxed);
-      const std::string busy =
-          format_error(0, ProtocolErrorCode::Busy, "server at connection limit; retry") +
-          "\n";
-      io::send_all(client, busy.data(), busy.size());  // best-effort
-      ::close(client);
-      continue;
-    }
-    if (options_.max_connections == 0)
-      connections_.fetch_add(1, std::memory_order_relaxed);
-    pool_.submit([this, client] {
-      try {
-        handle_connection(client);
-      } catch (const std::exception& e) {
-        // The pool requires non-throwing tasks; a broken client connection
-        // must not take the server down.
-        log_warn("rtpd connection error: ", e.what());
-      }
-      ::close(client);
-      connections_.fetch_sub(1, std::memory_order_relaxed);
-    });
-  }
-  pool_.wait_idle();
-}
+void ServiceServer::serve() { transport_.serve(); }
 
-void ServiceServer::shutdown() {
-  stopping_.store(true);
-  // exchange() so concurrent shutdown() calls close the listener once.
-  const int fd = listen_fd_.exchange(-1);
-  if (fd >= 0) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-}
-
-void ServiceServer::handle_connection(int fd) {
-  // A client that stops draining responses blocks our send; bound the stall
-  // so one slow reader cannot pin a worker forever.
-  if (options_.write_timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = options_.write_timeout_ms / 1000;
-    tv.tv_usec = static_cast<suseconds_t>((options_.write_timeout_ms % 1000) * 1000);
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-
-  const auto send_line = [&](const std::string& text) {
-    const std::string framed = text + "\n";
-    const io::IoResult r = io::send_all(fd, framed.data(), framed.size());
-    if (r.failed()) log_warn("rtpd send: ", io::describe(r));
-    return r.ok();  // Disconnected ends the connection quietly
-  };
-
-  if (options_.greeting && !send_line(greeting())) return;
-
-  std::string buffer;
-  std::size_t line_number = 0;
-  bool quit = false;
-  char chunk[4096];
-  while (!quit) {
-    const io::IoResult r = io::recv_some(fd, chunk, sizeof(chunk));
-    if (!r.ok() || r.bytes == 0) {
-      if (r.failed()) log_warn("rtpd recv: ", io::describe(r));
-      break;  // disconnect (or shutdown closing the socket)
-    }
-    buffer.append(chunk, r.bytes);
-    std::size_t pos;
-    while (!quit && (pos = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      ++line_number;
-      const std::string response = handle_line(line, line_number, &quit);
-      if (!response.empty() && !send_line(response)) return;
-    }
-    // A newline-free flood must not grow the reassembly buffer without
-    // bound: answer with a parse error and drop the connection.
-    if (options_.max_line_bytes > 0 && buffer.size() > options_.max_line_bytes) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      send_line(format_error(line_number + 1, ProtocolErrorCode::Parse,
-                             "line exceeds " + std::to_string(options_.max_line_bytes) +
-                                 " bytes without a newline"));
-      return;
-    }
-  }
-}
+void ServiceServer::shutdown() { transport_.shutdown(); }
 
 ServerStats ServiceServer::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ServerStats out;
   out.requests = requests_.load(std::memory_order_relaxed);
-  out.errors = errors_.load(std::memory_order_relaxed);
+  out.errors = errors_.load(std::memory_order_relaxed) + transport_.overflows();
   out.shed = shed_.load(std::memory_order_relaxed);
-  out.shed_connections = shed_connections_.load(std::memory_order_relaxed);
+  out.shed_connections = transport_.shed_connections();
   out.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
   out.request_latency_us = request_latency_us_;

@@ -5,8 +5,11 @@
 //  * stream mode — serve_stream(in, out) reads protocol lines from an
 //    istream and answers on an ostream: stdin/stdout pipes, files, tests.
 //  * TCP mode — listen_on() binds 127.0.0.1, serve() accepts clients and
-//    hands each connection to the shared ThreadPool; shutdown() (from any
-//    thread) stops the accept loop and drains the pool.
+//    hands each connection to a worker thread; shutdown() (from any
+//    thread) stops the accept loop and drains the workers.
+//
+// Both modes run on io::LineServer (service/io.hpp), the line loop rtprouter
+// shares: TCP_NODELAY on every connection and one write per recv batch.
 //
 // The session itself is single-threaded by design, so a mutex serializes
 // request handling; concurrency buys overlapped I/O, not parallel shadow
@@ -40,7 +43,7 @@
 #include <string>
 #include <string_view>
 
-#include "core/thread_pool.hpp"
+#include "service/io.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
 #include "stats/histogram.hpp"
@@ -207,7 +210,6 @@ class ServiceServer {
   ServerStats stats() const;
 
  private:
-  void handle_connection(int fd);
   std::string render(const Request& request, std::string_view line, bool* quit);
   /// The MIGRATE verb family (attach/status/retire/resume/detach);
   /// requires mutex_ held (called from render).
@@ -237,7 +239,6 @@ class ServiceServer {
   ServerOptions options_;
   FollowerApplier* follower_ = nullptr;  // set during setup, before serving
   std::atomic<bool> read_only_{false};
-  ThreadPool pool_;
   mutable std::mutex mutex_;  // session + histograms
   std::chrono::steady_clock::time_point started_;
 
@@ -255,17 +256,14 @@ class ServiceServer {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> shed_{0};
-  std::atomic<std::uint64_t> shed_connections_{0};
   std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> connections_{0};
   std::size_t records_since_snapshot_ = 0;  // guarded by mutex_
   LatencyHistogram request_latency_us_;
   LatencyHistogram estimate_latency_us_;
 
-  // Written by shutdown() from an arbitrary thread while serve() reads it,
-  // so it must be atomic; -1 means "not listening".
-  std::atomic<int> listen_fd_{-1};
-  std::atomic<bool> stopping_{false};
+  // Last member: destroyed first, so no connection worker outlives the
+  // state its handler reads.
+  io::LineServer transport_;
 };
 
 }  // namespace rtp

@@ -3,17 +3,22 @@
 // completion, zero-progress writes surfaced as ENOSPC-style failures, and
 // peer-gone conditions (EPIPE, ECONNRESET, EOF) classified as Disconnected.
 // Faults are injected through the SyscallHooks seam against ordinary pipe
-// fds, so every branch runs deterministically with no real sockets.
+// fds, so every branch runs deterministically with no real sockets.  The
+// socket helpers and LineServer get loopback and stream tests at the end.
 #include <gtest/gtest.h>
 
 #include <cerrno>
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
+#include "core/error.hpp"
 #include "service/io.hpp"
+#include "tcp_wire.hpp"
 
 namespace rtp::io {
 namespace {
@@ -257,6 +262,71 @@ TEST(IoDescribe, NamesTheErrno) {
   r.error = ENOSPC;
   const std::string text = describe(r);
   EXPECT_NE(text.find(std::strerror(ENOSPC)), std::string::npos);
+}
+
+TEST(IoTcp, DialedAndAcceptedSocketsHaveNodelay) {
+  std::uint16_t port = 0;
+  const int listener = listen_loopback(0, &port);
+  ASSERT_GT(port, 0);
+  std::string error;
+  const int dialed = dial_tcp("127.0.0.1", port, 2000, &error);
+  ASSERT_GE(dialed, 0) << error;
+  const int dialed_rcvtimeo = dial_tcp_rcvtimeo("localhost", port, 2000, 500, &error);
+  ASSERT_GE(dialed_rcvtimeo, 0) << error;
+  const int accepted = accept_tcp(listener);
+  const int accepted_second = accept_tcp(listener);
+  ASSERT_GE(accepted, 0);
+  ASSERT_GE(accepted_second, 0);
+  for (const int fd : {dialed, dialed_rcvtimeo, accepted, accepted_second}) {
+    EXPECT_EQ(tcp_wire::nodelay(fd), 1) << "fd " << fd;
+    ::close(fd);
+  }
+  ::close(listener);
+}
+
+TEST(IoTcp, ListenLoopbackRefusesAPortInUse) {
+  std::uint16_t port = 0;
+  const int listener = listen_loopback(0, &port);
+  std::uint16_t again = 0;
+  EXPECT_THROW(listen_loopback(port, &again), rtp::Error);
+  ::close(listener);
+}
+
+/// Echoes "<line number>:<line>", skips blank lines, stops at "QUIT".
+std::string numbered(std::string_view line, std::size_t line_number, bool* quit) {
+  if (line.empty()) return {};
+  if (line == "QUIT") *quit = true;
+  return std::to_string(line_number) + ":" + std::string(line);
+}
+
+TEST(IoLineServer, StreamNumbersEveryLineAndStopsAtQuit) {
+  LineServer server({"test", "test"}, numbered, [] { return std::string("hello"); });
+  std::istringstream in("a\r\n\nb\nQUIT\nc\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  // \r is the stream's to keep; the TCP loop strips it (see below).
+  EXPECT_EQ(out.str(), "hello\n1:a\r\n3:b\n4:QUIT\n");
+}
+
+TEST(IoLineServer, TcpBatchKeepsNumbersAndShedsPastTheConnectionLimit) {
+  LineServerOptions options{"test", "tester"};
+  options.max_connections = 1;
+  LineServer server(options, numbered, LineServer::Greeter());
+  const std::uint16_t port = server.listen_on(0);
+  std::thread serving([&server] { server.serve(); });
+  {
+    tcp_wire::WireClient admitted(port);
+    admitted.send_raw("a\r\n\nb");
+    EXPECT_EQ(admitted.read_line(), "1:a");
+    tcp_wire::WireClient shed(port);
+    EXPECT_EQ(shed.read_line(), "ERR line=0 code=busy msg=tester at connection limit; retry");
+    EXPECT_EQ(shed.read_line(), "");  // closed
+    admitted.send_raw("\nQUIT\nc\n");
+    EXPECT_EQ(admitted.read_until_closed(), (std::vector<std::string>{"3:b", "4:QUIT"}));
+  }
+  EXPECT_EQ(server.shed_connections(), 1u);
+  server.shutdown();
+  serving.join();
 }
 
 }  // namespace

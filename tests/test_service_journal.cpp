@@ -232,7 +232,11 @@ class JournalCrashHarness : public ::testing::Test {
   static constexpr int kNodes = 8;
 
   void SetUp() override {
-    path_ = temp_path("crash.rtpj");
+    // One file per test: ctest runs this fixture's tests as parallel
+    // processes, which must not share a journal.
+    path_ = temp_path(std::string("crash_") +
+                      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                      ".rtpj");
     write_file(path_, "");
 
     policy_ = make_policy(PolicyKind::Fcfs);

@@ -7,7 +7,10 @@
 // propagation (code=busy surfaces unchanged after same-backend retries,
 // code=readonly advances to the next replica) and the exact STATS fan-out
 // merge (counters summed, quantiles from LatencyHistogram::merge) are
-// pinned against hand-rolled canned backends.
+// pinned against hand-rolled canned backends.  The front side's TCP line
+// loop is pinned too: TCP_NODELAY on the client and backend sockets, QUIT
+// inside a pipelined write, line numbers across reads, and replies flushed
+// before an overflow error.
 //
 // Teardown discipline: a Router holds pooled connections into its backends,
 // and a worker's serve() cannot drain until those close.  Every test
@@ -45,6 +48,7 @@
 #include "service/server.hpp"
 #include "service/session.hpp"
 #include "stats/histogram.hpp"
+#include "tcp_wire.hpp"
 
 namespace rtp {
 namespace {
@@ -1027,6 +1031,116 @@ TEST(Router, MapsetSwapsStrictlyNewerMapsAtomically) {
   EXPECT_EQ(router.map_version(), 2u);
   EXPECT_EQ(router.handle_line("ESTIMATE 1", 5, &quit),
             reference.reply("ESTIMATE 1", 5));
+}
+
+// --- the front side's TCP line loop ----------------------------------------
+
+/// A greeting router in front of one worker, served over loopback TCP.  The
+/// worker is declared first so the router (and its pooled connections) is
+/// destroyed first.
+struct TcpRouter {
+  explicit TcpRouter(RouterOptions options = test_options())
+      : router(one_partition(worker.address), greeting_on(options)),
+        port(router.listen_on(0)),
+        thread([this] { router.serve(); }) {}
+  ~TcpRouter() {
+    router.shutdown();
+    thread.join();
+  }
+
+  static PartitionMap one_partition(const std::string& address) {
+    PartitionMap map;
+    map.partitions = {{address}};
+    return map;
+  }
+  static RouterOptions greeting_on(RouterOptions options) {
+    options.greeting = true;
+    return options;
+  }
+
+  Worker worker;
+  Router router;
+  std::uint16_t port;
+  std::thread thread;
+};
+
+/// An fd of this process connected to 127.0.0.1:`port`, or -1.
+int fd_connected_to(std::uint16_t port) {
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    socklen_t len = sizeof(peer);
+    if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) == 0 &&
+        ntohs(peer.sin_port) == port)
+      return fd;
+  }
+  return -1;
+}
+
+TEST(RouterTcp, NodelayIsSetOnClientAndBackendSockets) {
+  TcpRouter tcp;
+  tcp_wire::WireClient client(tcp.port);
+  EXPECT_EQ(client.read_line().rfind("RTP/1 ready router partitions=1", 0), 0u);
+  client.send_raw("STATE\n");  // forwarded: the router dials its backend
+  EXPECT_EQ(client.read_line().rfind("OK now=0", 0), 0u);
+
+  EXPECT_EQ(tcp_wire::nodelay(client.fd()), 1) << "client's dialed side";
+  const int accepted = tcp_wire::peer_fd(client.fd());
+  ASSERT_GE(accepted, 0);
+  EXPECT_EQ(tcp_wire::nodelay(accepted), 1) << "router's accepted side";
+
+  const int pooled = fd_connected_to(tcp.worker.port);
+  ASSERT_GE(pooled, 0) << "the router's pooled backend connection";
+  EXPECT_EQ(tcp_wire::nodelay(pooled), 1) << "router's dialed side";
+  const int worker_side = tcp_wire::peer_fd(pooled);
+  ASSERT_GE(worker_side, 0);
+  EXPECT_EQ(tcp_wire::nodelay(worker_side), 1) << "worker's accepted side";
+}
+
+TEST(RouterTcp, QuitInsideOneWriteIsTheLastLineServed) {
+  TcpRouter tcp;
+  tcp_wire::WireClient client(tcp.port);
+  client.send_raw(
+      "HELLO RTP/1\n"
+      "SUBMIT 0 1 4 100 120\n"
+      "QUIT\n"
+      "SUBMIT 5 2 4 100 120\n"  // after QUIT: must not be forwarded
+      "STATE\n");
+  const std::vector<std::string> replies = client.read_until_closed();
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[0].rfind("RTP/1 ready router partitions=1", 0), 0u) << replies[0];
+  EXPECT_EQ(replies[1], "OK proto=RTP/1");
+  EXPECT_EQ(replies[2], "OK version=1");
+  EXPECT_EQ(replies[3], "OK bye");
+  EXPECT_EQ(tcp.worker.mono.session.state_version(), 1u);
+  EXPECT_EQ(tcp.router.stats().requests, 3u);
+}
+
+TEST(RouterTcp, LineSplitAcrossWritesKeepsItsLineNumber) {
+  Mono reference;
+  TcpRouter tcp;
+  tcp_wire::WireClient client(tcp.port);
+  EXPECT_EQ(client.read_line().rfind("RTP/1 ready router", 0), 0u);
+  client.send_raw("HELLO RTP/1\nESTI");
+  EXPECT_EQ(client.read_line(), "OK proto=RTP/1");
+  client.send_raw("MATE 99\n");
+  // The worker's ERR carries its own count; the router's rewrite must see
+  // the split line as the client's line 2.
+  EXPECT_EQ(client.read_line(), reference.reply("ESTIMATE 99", 2));
+}
+
+TEST(RouterTcp, CompleteLinesAreAnsweredBeforeAnOversizeTailCloses) {
+  RouterOptions options = test_options();
+  options.max_line_bytes = 128;
+  TcpRouter tcp(options);
+  tcp_wire::WireClient client(tcp.port);
+  client.send_raw("SUBMIT 0 1 4 100 120\nSTATE\n" + std::string(4096, 'x'));
+  const std::vector<std::string> replies = client.read_until_closed();
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[1], "OK version=1");
+  EXPECT_EQ(replies[2].rfind("OK now=0 version=1", 0), 0u) << replies[2];
+  EXPECT_EQ(replies[3],
+            "ERR line=3 code=parse msg=line exceeds 128 bytes without a newline");
+  EXPECT_EQ(tcp.router.stats().errors, 1u);
 }
 
 }  // namespace

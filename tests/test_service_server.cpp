@@ -1,5 +1,7 @@
-// ServiceServer request loop: stream-mode dialogues, STATS reporting, and a
-// TCP loopback smoke test with concurrent clients.
+// ServiceServer request loop: stream-mode dialogues, STATS reporting, a
+// TCP loopback smoke test with concurrent clients, and the TCP line loop's
+// framing contract (TCP_NODELAY on both ends, QUIT inside a pipelined
+// write, line numbers across reads, replies flushed before an overflow).
 #include "service/server.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 #include "predict/simple.hpp"
 #include "sched/policy.hpp"
 #include "service/session.hpp"
+#include "tcp_wire.hpp"
 
 namespace rtp {
 namespace {
@@ -178,6 +182,101 @@ TEST(ServiceServerTcp, LoopbackClientsShareOneSession) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.requests, 7u);
   EXPECT_EQ(stats.errors, 0u);
+}
+
+/// An rtpd-shaped server on an ephemeral loopback port, served from its own
+/// thread: the FCFS/constant-600 s setup the stream tests use.
+struct TcpServer {
+  explicit TcpServer(ServerOptions options = {})
+      : policy(make_policy(PolicyKind::Fcfs)),
+        predictor(600.0),
+        session(8, *policy, predictor),
+        server(session, options),
+        port(server.listen_on(0)),
+        thread([this] { server.serve(); }) {}
+  ~TcpServer() {
+    server.shutdown();
+    thread.join();
+  }
+
+  std::unique_ptr<SchedulerPolicy> policy;
+  ConstantPredictor predictor;
+  OnlineSession session;
+  ServiceServer server;
+  std::uint16_t port;
+  std::thread thread;
+};
+
+TEST(ServiceServerTcp, NodelayIsSetOnTheAcceptedAndTheDialedSocket) {
+  TcpServer tcp;
+  tcp_wire::WireClient client(tcp.port);
+  // The greeting proves the connection was accepted and is being served.
+  EXPECT_EQ(client.read_line(), tcp.server.greeting());
+  EXPECT_EQ(tcp_wire::nodelay(client.fd()), 1) << "io::dial_tcp side";
+  const int accepted = tcp_wire::peer_fd(client.fd());
+  ASSERT_GE(accepted, 0) << "the server's end of the connection";
+  EXPECT_EQ(tcp_wire::nodelay(accepted), 1) << "accepted side";
+}
+
+TEST(ServiceServerTcp, QuitInsideOneWriteIsTheLastLineServed) {
+  // The TCP twin of DialogueAnswersOnePerRequestLine: the whole dialogue in
+  // one write, so the lines after QUIT may arrive in the same recv.  They
+  // must not run, and the replies must equal the stream mode's.
+  const std::string dialogue =
+      "HELLO RTP/1\n"
+      "# a comment the server must ignore\n"
+      "SUBMIT 0 0 8 120 600\n"
+      "START 0 0\n"
+      "SUBMIT 5 1 4 60 600\n"
+      "ESTIMATE 1\n"
+      "ESTIMATE 1\n"
+      "INTERVAL 1\n"
+      "STATE\n"
+      "QUIT\n"
+      "SUBMIT 9 2 1 10 60\n"  // after QUIT: must not be served
+      "STATE\n";
+  ConstantPredictor predictor(600.0);
+  const auto policy = make_policy(PolicyKind::Fcfs);
+  OnlineSession reference_session(8, *policy, predictor);
+  ServiceServer reference(reference_session);
+  std::istringstream in(dialogue);
+  std::ostringstream out;
+  reference.serve_stream(in, out);
+
+  TcpServer tcp;
+  tcp_wire::WireClient client(tcp.port);
+  client.send_raw(dialogue);
+  EXPECT_EQ(client.read_until_closed(), lines_of(out.str()));
+  EXPECT_EQ(tcp.session.state_version(), 3u) << "the SUBMIT after QUIT ran";
+  EXPECT_EQ(tcp.server.stats().requests, 9u);
+}
+
+TEST(ServiceServerTcp, LineSplitAcrossWritesKeepsItsLineNumber) {
+  TcpServer tcp;
+  tcp_wire::WireClient client(tcp.port);
+  EXPECT_EQ(client.read_line(), tcp.server.greeting());
+  client.send_raw("HELLO RTP/1\nSTATE\nESTI");
+  EXPECT_EQ(client.read_line(), "OK proto=RTP/1");
+  EXPECT_EQ(client.read_line().rfind("OK now=0", 0), 0u);
+  client.send_raw("MATE 42\n");
+  const std::string reply = client.read_line();
+  EXPECT_EQ(reply.rfind("ERR line=3 code=state", 0), 0u) << reply;
+}
+
+TEST(ServiceServerTcp, CompleteLinesAreAnsweredBeforeAnOversizeTailCloses) {
+  ServerOptions options;
+  options.max_line_bytes = 128;
+  TcpServer tcp(options);
+  tcp_wire::WireClient client(tcp.port);
+  client.send_raw("SUBMIT 0 0 8 120 600\nSTATE\n" + std::string(4096, 'x'));
+  const std::vector<std::string> replies = client.read_until_closed();
+  ASSERT_EQ(replies.size(), 4u);
+  EXPECT_EQ(replies[0], tcp.server.greeting());
+  EXPECT_EQ(replies[1], "OK version=1");
+  EXPECT_EQ(replies[2].rfind("OK now=0 version=1", 0), 0u) << replies[2];
+  EXPECT_EQ(replies[3],
+            "ERR line=3 code=parse msg=line exceeds 128 bytes without a newline");
+  EXPECT_EQ(tcp.server.stats().errors, 1u);
 }
 
 }  // namespace

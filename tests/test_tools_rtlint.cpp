@@ -120,6 +120,36 @@ TEST(RtlintRules, RawIoSparesWrappersViaAnnotation) {
   EXPECT_TRUE(rtlint::lint_source("io.cpp", source, {}).empty());
 }
 
+TEST(RtlintRules, RawSocketFiresOnGlobalCallsOnly) {
+  const auto diagnostics = lint_fixture("fixture_raw_socket.cpp");
+  EXPECT_EQ(count_rule(diagnostics, "raw-socket"), 3u)
+      << "::socket, ::connect and ::accept fire; member calls, a qualified "
+         "static member and the annotated call must not";
+  for (const Diagnostic& d : diagnostics) {
+    EXPECT_EQ(d.rule, "raw-socket");
+    EXPECT_NE(d.message.find("TCP_NODELAY"), std::string::npos) << d.message;
+  }
+}
+
+TEST(RtlintRules, RawSocketAllowlistCarvesOutOnlyTheIoHelpers) {
+  // The repo's own allowlist exempts src/service/io.cpp, the one file that
+  // makes sockets; the same call anywhere else in the service still fires.
+  std::ifstream in(std::string(RTLINT_FIXTURE_DIR) + "/../../tools/rtlint.allow");
+  ASSERT_TRUE(in.good());
+  std::ostringstream text;
+  text << in.rdbuf();
+  rtlint::LintOptions options;
+  options.allowlist = rtlint::parse_allowlist(text.str());
+  const std::string source = "int make() { return ::socket(2, 1, 0); }\n";
+  EXPECT_TRUE(rtlint::lint_source("src/service/io.cpp", source, options).empty());
+  EXPECT_EQ(count_rule(rtlint::lint_source("src/service/server.cpp", source, options),
+                       "raw-socket"),
+            1u);
+  EXPECT_EQ(count_rule(rtlint::lint_source("tools/rtpfault/main.cpp", source, options),
+                       "raw-socket"),
+            1u);
+}
+
 TEST(RtlintSuppression, InlineAnnotationsSilenceEachRule) {
   EXPECT_TRUE(lint_fixture("fixture_allowed.cpp").empty());
 }

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
@@ -494,14 +495,13 @@ void check_discarded_error(const RuleContext& ctx,
   }
 }
 
-void check_raw_io(const RuleContext& ctx) {
-  // Global-qualified POSIX I/O calls (`::write(...)`) bypass the checked
-  // wrappers in src/service/io.hpp, which retry EINTR, loop partial writes
-  // and classify errno.  Member qualifications (istream::read) have an
-  // identifier before the `::` and are skipped.
-  static const std::string_view kCalls[] = {"write", "read", "send", "recv"};
+/// Flags global-qualified calls (`::write(...)`) to any of `calls`.  Member
+/// qualifications (istream::read) have an identifier before the `::` and
+/// are skipped.
+void check_global_calls(const RuleContext& ctx, std::initializer_list<std::string_view> calls,
+                        const char* rule, const char* advice) {
   const std::string_view text = ctx.scrubbed;
-  for (const std::string_view name : kCalls) {
+  for (const std::string_view name : calls) {
     std::size_t pos = 0;
     while ((pos = text.find(name, pos)) != std::string_view::npos) {
       const std::size_t end = pos + name.size();
@@ -512,13 +512,26 @@ void check_raw_io(const RuleContext& ctx) {
       const std::size_t cursor = skip_spaces(text, end);
       const bool is_call = cursor < text.size() && text[cursor] == '(';
       if (global_qualified && name_ends && is_call)
-        ctx.report(pos, "raw-io",
-                   "raw ::" + std::string(name) +
-                       " call; use the checked rtp::io wrappers (src/service/io.hpp), "
-                       "which retry EINTR and classify errno");
+        ctx.report(pos, rule, "raw ::" + std::string(name) + " call; " + advice);
       pos = end;
     }
   }
+}
+
+void check_raw_io(const RuleContext& ctx) {
+  // POSIX I/O that bypasses the checked wrappers in src/service/io.hpp,
+  // which retry EINTR, loop partial writes and classify errno.
+  check_global_calls(ctx, {"write", "read", "send", "recv"}, "raw-io",
+                     "use the checked rtp::io wrappers (src/service/io.hpp), "
+                     "which retry EINTR and classify errno");
+}
+
+void check_raw_socket(const RuleContext& ctx) {
+  // A socket made outside src/service/io.cpp would skip TCP_NODELAY, and
+  // Nagle's algorithm would then hold each pipelined reply for a delayed ACK.
+  check_global_calls(ctx, {"socket", "accept", "connect"}, "raw-socket",
+                     "make TCP sockets through rtp::io (dial_tcp, listen_loopback, "
+                     "accept_tcp), which set TCP_NODELAY");
 }
 
 void check_include_hygiene(const RuleContext& ctx, std::string_view source, bool is_header) {
@@ -587,7 +600,7 @@ void collect_files(const std::filesystem::path& root, std::vector<std::string>& 
 const std::vector<std::string>& rule_names() {
   static const std::vector<std::string> kRules = {
       "nondeterministic-source", "unordered-iter", "float-eq", "discarded-error",
-      "include-hygiene", "raw-io",
+      "include-hygiene", "raw-io", "raw-socket",
   };
   return kRules;
 }
@@ -768,6 +781,7 @@ std::vector<Diagnostic> lint_source(const std::string& path, std::string_view so
   check_discarded_error(ctx, options.nodiscard_functions);
   check_include_hygiene(ctx, source, has_suffix(path, ".hpp") || has_suffix(path, ".h"));
   check_raw_io(ctx);
+  check_raw_socket(ctx);
 
   std::vector<Diagnostic> out;
   for (Diagnostic& d : raw) {

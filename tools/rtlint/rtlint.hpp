@@ -33,6 +33,9 @@
 //                            calls outside the checked wrappers in
 //                            src/service/io.hpp (which retry EINTR, loop
 //                            partial transfers, and classify errno)
+//   raw-socket               no global-qualified ::socket/::accept/::connect
+//                            calls outside src/service/io.cpp, whose
+//                            helpers set TCP_NODELAY on every TCP socket
 //
 // Suppression is explicit and auditable: an inline
 //   // rtlint: allow(<rule>) <justification>

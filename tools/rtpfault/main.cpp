@@ -31,9 +31,7 @@
 #include <thread>
 #include <vector>
 
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "core/args.hpp"
@@ -131,21 +129,10 @@ int main(int argc, char** argv) {
     const std::uint32_t connect_timeout_ms =
         static_cast<std::uint32_t>(args.integer("connect-timeout-ms"));
 
-    const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    RTP_CHECK(listen_fd >= 0, std::string("socket: ") + std::strerror(errno));
-    const int one = 1;
-    ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(args.integer("listen")));
-    RTP_CHECK(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-              std::string("bind: ") + std::strerror(errno));
-    RTP_CHECK(::listen(listen_fd, 4) == 0,
-              std::string("listen: ") + std::strerror(errno));
-    socklen_t addr_len = sizeof(addr);
-    ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-    std::cerr << "rtpfault listening on 127.0.0.1:" << ntohs(addr.sin_port) << " -> "
+    std::uint16_t listen_port = 0;
+    const int listen_fd = rtp::io::listen_loopback(
+        static_cast<std::uint16_t>(args.integer("listen")), &listen_port);
+    std::cerr << "rtpfault listening on 127.0.0.1:" << listen_port << " -> "
               << target_host << ":" << target_port << "\n";
 
     struct sigaction sa{};
@@ -179,7 +166,7 @@ int main(int argc, char** argv) {
       if (ready == 0) continue;
 
       if ((fds[0].revents & POLLIN) != 0) {
-        const int client = ::accept(listen_fd, nullptr, nullptr);
+        const int client = rtp::io::accept_tcp(listen_fd);
         if (client >= 0) {
           std::string error;
           const int server =
