@@ -21,9 +21,11 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -216,11 +218,19 @@ std::string serialized(const OnlineSession& session) {
   return out.str();
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// print is part of every listed test name. The label is held inline (not as
+// a pointer, whose bytes move with ASLR) and the fields leave no padding, so
+// the names are the same on every build and every run.
 struct FuzzCase {
-  const char* label;
-  PolicyKind policy;
   std::uint64_t seed;
+  PolicyKind policy;
+  char name[12];  // NUL-padded; "conservative" fills it exactly
+
+  std::string label() const { return std::string(name, strnlen(name, sizeof name)); }
 };
+static_assert(std::has_unique_object_representations_v<FuzzCase>,
+              "padding bytes would make the printed test names vary");
 
 class ShadowFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -239,7 +249,7 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
   OnlineSession follower(kMachineNodes, *policy, follower_predictor);
   follower.set_record_predictions(false);
 
-  const std::string journal_path = temp_journal_path(c.label);
+  const std::string journal_path = temp_journal_path(c.label());
   std::remove(journal_path.c_str());
   JournalWriter journal(journal_path);
 
@@ -261,11 +271,11 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
       const Seconds expected = oracle.estimate_wait(id);
       const Seconds actual = primary.estimate_wait(id);
       ASSERT_EQ(bits(actual), bits(expected))
-          << c.label << " step " << step << " job " << id << ": incremental "
+          << c.label() << " step " << step << " job " << id << ": incremental "
           << actual << " vs oracle " << expected;
       const Seconds mirrored = follower.estimate_wait(id);
       ASSERT_EQ(bits(mirrored), bits(expected))
-          << c.label << " step " << step << " job " << id << " (follower)";
+          << c.label() << " step " << step << " job " << id << " (follower)";
       if (first && primary.recorded_prediction(id) != kNoTime) {
         // Replicate the registration exactly as the server does: as a
         // durable P record mirrored to followers.
@@ -285,9 +295,9 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
           query_rng.uniform_int(0, static_cast<std::int64_t>(queued.size()) - 1))];
       const WaitInterval a = primary.estimate_interval(id);
       const WaitInterval b = oracle.estimate_interval(id);
-      ASSERT_EQ(bits(a.expected), bits(b.expected)) << c.label << " step " << step;
-      ASSERT_EQ(bits(a.optimistic), bits(b.optimistic)) << c.label << " step " << step;
-      ASSERT_EQ(bits(a.pessimistic), bits(b.pessimistic)) << c.label << " step " << step;
+      ASSERT_EQ(bits(a.expected), bits(b.expected)) << c.label() << " step " << step;
+      ASSERT_EQ(bits(a.optimistic), bits(b.optimistic)) << c.label() << " step " << step;
+      ASSERT_EQ(bits(a.pessimistic), bits(b.pessimistic)) << c.label() << " step " << step;
     }
 
     if (step == snapshot_at) {
@@ -301,9 +311,9 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
   // follower registered its predictions from P records, not queries).
   const std::string primary_state = serialized(primary);
   EXPECT_EQ(primary_state, serialized(oracle))
-      << c.label << ": incremental and oracle sessions diverged";
+      << c.label() << ": incremental and oracle sessions diverged";
   EXPECT_EQ(primary_state, serialized(follower))
-      << c.label << ": follower session diverged";
+      << c.label() << ": follower session diverged";
 
   // Journal recovery (snapshot + tail replay) reproduces the same bytes,
   // and its restored shadow keeps answering like the oracle.
@@ -313,17 +323,17 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
   EXPECT_TRUE(report.used_snapshot);
   EXPECT_FALSE(report.truncated);
   EXPECT_EQ(primary_state, serialized(recovered))
-      << c.label << ": journal recovery diverged";
+      << c.label() << ": journal recovery diverged";
   for (const JobId id : generator.queued_ids())
     ASSERT_EQ(bits(recovered.estimate_wait(id)), bits(oracle.estimate_wait(id)))
-        << c.label << " job " << id << " (recovered)";
+        << c.label() << " job " << id << " (recovered)";
 
   // Follower promotion: recording predictions again must not disturb the
   // bit-identity of subsequent answers.
   follower.set_record_predictions(true);
   for (const JobId id : generator.queued_ids())
     ASSERT_EQ(bits(follower.estimate_wait(id)), bits(oracle.estimate_wait(id)))
-        << c.label << " job " << id << " (promoted follower)";
+        << c.label() << " job " << id << " (promoted follower)";
 
   std::remove(journal_path.c_str());
 }
@@ -361,21 +371,21 @@ TEST_P(ShadowFuzz, MidStreamRestoreContinuesBitForBit) {
     apply_request(restored, event);
     for (const JobId id : generator.queued_ids()) {
       ASSERT_EQ(bits(restored.estimate_wait(id)), bits(live.estimate_wait(id)))
-          << c.label << " step " << step << " job " << id;
+          << c.label() << " step " << step << " job " << id;
     }
   }
-  EXPECT_EQ(serialized(live), serialized(restored)) << c.label;
+  EXPECT_EQ(serialized(live), serialized(restored)) << c.label();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ShadowFuzz,
-    ::testing::Values(FuzzCase{"fcfs", PolicyKind::Fcfs, 0xA11CEull},
-                      FuzzCase{"lwf", PolicyKind::Lwf, 0xB0B5ull},
-                      FuzzCase{"conservative", PolicyKind::BackfillConservative,
-                               0xC0FFEEull},
-                      FuzzCase{"easy", PolicyKind::BackfillEasy, 0xD00Dull}),
+    ::testing::Values(FuzzCase{0xA11CEull, PolicyKind::Fcfs, "fcfs"},
+                      FuzzCase{0xB0B5ull, PolicyKind::Lwf, "lwf"},
+                      FuzzCase{0xC0FFEEull, PolicyKind::BackfillConservative,
+                               {'c', 'o', 'n', 's', 'e', 'r', 'v', 'a', 't', 'i', 'v', 'e'}},
+                      FuzzCase{0xD00Dull, PolicyKind::BackfillEasy, "easy"}),
     [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
-      return std::string(param_info.param.label);
+      return param_info.param.label();
     });
 
 }  // namespace
