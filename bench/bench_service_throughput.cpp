@@ -1,21 +1,18 @@
 // Online service throughput: replay recorded scheduler sessions through
-// OnlineSession and measure the estimate path across the shadow × cache
-// matrix.
+// OnlineSession and measure the estimate path.
 //
 // For each site, the batch scheduler (live on user maxima, as in the
 // paper's wait-time setup) is recorded once into an event stream; the
-// stream is then replayed open-loop through four fresh sessions — the
-// legacy recompute-per-query shadow and the incremental shadow schedule,
-// each with the estimate cache disabled and enabled — issuing 1 +
-// --repeats ESTIMATE queries per submission.  Reported per run:
-// queries/sec and the p50/p95/p99/max per-query latency from the
-// log-bucketed histogram.  All four runs must return bit-identical
-// answers; the binary exits non-zero if they diverge or an enabled cache
-// never hits.
+// stream is then replayed open-loop through a fresh session, issuing 1 +
+// --repeats ESTIMATE queries per submission.  Reported per site:
+// queries/sec, the p50/p95/p99/max per-query latency from the
+// log-bucketed histogram, and the share of queries answered from an
+// existing shadow booking (Hit Rate).  The bit-identity of these answers
+// with the recompute-per-query method is a ctest
+// (SessionReplayAnswers in tests/test_service_session.cpp).
 //
-// Results also persist as JSON (--json, default BENCH_service.json) so the
-// perf trajectory accumulates across checkouts: one record per (site,
-// shadow, cache) run with QPS and the latency quantiles.
+// Results also persist as JSON (--json, default BENCH_service.json): one
+// record per site with QPS and the latency quantiles.
 //
 //   ./bench_service_throughput [--scale 0.02] [--repeats 3] [--policy backfill]
 //                              [--predictor max] [--compression 0] [--csv]
@@ -54,76 +51,42 @@ int main(int argc, char** argv) {
     replay_options.time_compression = args.real("compression");
     replay_options.extra_queries = static_cast<int>(args.integer("repeats"));
 
-    rtp::TablePrinter table({"Workload", "Shadow", "Cache", "Events", "Queries",
-                             "Queries/s", "p50 (us)", "p95 (us)", "p99 (us)", "max (us)",
-                             "Hit Rate"});
+    rtp::TablePrinter table({"Workload", "Events", "Queries", "Queries/s", "p50 (us)",
+                             "p95 (us)", "p99 (us)", "max (us)", "Hit Rate"});
     std::ostringstream json_runs;
-    bool first_run = true;
-    bool ok = true;
     for (const rtp::Workload& w : rtp::paper_workloads(args.real("scale"))) {
       rtp::MaxRuntimePredictor live(w);
       const rtp::RecordedRun recorded = rtp::record_session_log(w, *policy, live);
 
-      rtp::RunningStats answers[4];
-      int run = 0;
-      for (const bool incremental : {false, true}) {
-        for (const bool cached : {false, true}) {
-          auto predictor = rtp::make_runtime_estimator(predictor_kind, w);
-          rtp::SessionOptions session_options;
-          session_options.name = w.name();
-          session_options.cache_estimates = cached;
-          session_options.incremental_shadow = incremental;
-          rtp::OnlineSession session(w.machine_nodes(), *policy, *predictor,
-                                     session_options);
-          const rtp::ReplayReport report =
-              rtp::replay_through_session(session, recorded.events, replay_options);
-          answers[run++] = report.answers;
+      auto predictor = rtp::make_runtime_estimator(predictor_kind, w);
+      rtp::SessionOptions session_options;
+      session_options.name = w.name();
+      rtp::OnlineSession session(w.machine_nodes(), *policy, *predictor, session_options);
+      const rtp::ReplayReport report =
+          rtp::replay_through_session(session, recorded.events, replay_options);
 
-          const std::uint64_t lookups = report.cache_hits + report.cache_misses;
-          const double hit_rate =
-              lookups > 0 ? static_cast<double>(report.cache_hits) /
-                                static_cast<double>(lookups)
-                          : 0.0;
-          const char* shadow = incremental ? "incr" : "legacy";
-          table.add_row({w.name(), shadow, cached ? "on" : "off",
-                         std::to_string(report.events), std::to_string(report.queries),
-                         rtp::format_double(report.queries_per_sec, 0),
-                         rtp::format_double(report.latency_us.p50(), 1),
-                         rtp::format_double(report.latency_us.p95(), 1),
-                         rtp::format_double(report.latency_us.p99(), 1),
-                         rtp::format_double(report.latency_us.max(), 1),
-                         rtp::format_double(hit_rate, 3)});
-          if (cached && report.cache_hits == 0) {
-            std::cerr << w.name() << ": cache enabled but never hit\n";
-            ok = false;
-          }
+      const std::uint64_t lookups = report.cache_hits + report.cache_misses;
+      const double hit_rate =
+          lookups > 0
+              ? static_cast<double>(report.cache_hits) / static_cast<double>(lookups)
+              : 0.0;
+      table.add_row({w.name(), std::to_string(report.events), std::to_string(report.queries),
+                     rtp::format_double(report.queries_per_sec, 0),
+                     rtp::format_double(report.latency_us.p50(), 1),
+                     rtp::format_double(report.latency_us.p95(), 1),
+                     rtp::format_double(report.latency_us.p99(), 1),
+                     rtp::format_double(report.latency_us.max(), 1),
+                     rtp::format_double(hit_rate, 3)});
 
-          if (!first_run) json_runs << ",";
-          first_run = false;
-          json_runs << "\n    {\"site\": \"" << w.name() << "\", \"shadow\": \""
-                    << (incremental ? "incremental" : "legacy") << "\", \"cache\": \""
-                    << (cached ? "on" : "off") << "\", \"events\": " << report.events
-                    << ", \"queries\": " << report.queries << ", \"qps\": "
-                    << rtp::format_double(report.queries_per_sec, 1)
-                    << ", \"p50_us\": " << rtp::format_double(report.latency_us.p50(), 3)
-                    << ", \"p95_us\": " << rtp::format_double(report.latency_us.p95(), 3)
-                    << ", \"p99_us\": " << rtp::format_double(report.latency_us.p99(), 3)
-                    << ", \"max_us\": " << rtp::format_double(report.latency_us.max(), 3)
-                    << ", \"hit_rate\": " << rtp::format_double(hit_rate, 3) << "}";
-        }
-      }
-      // Neither the cache nor the incremental shadow may be visible in the
-      // answers: all four runs' stats must match bit-for-bit.
-      for (int i = 1; i < 4; ++i) {
-        if (answers[0].count() != answers[i].count() ||
-            answers[0].sum() != answers[i].sum() ||
-            answers[0].min() != answers[i].min() ||
-            answers[0].max() != answers[i].max()) {
-          std::cerr << w.name() << ": shadow/cache run " << i
-                    << " answers diverge from the legacy cache-off reference\n";
-          ok = false;
-        }
-      }
+      if (json_runs.tellp() > 0) json_runs << ",";
+      json_runs << "\n    {\"site\": \"" << w.name() << "\", \"events\": " << report.events
+                << ", \"queries\": " << report.queries << ", \"qps\": "
+                << rtp::format_double(report.queries_per_sec, 1)
+                << ", \"p50_us\": " << rtp::format_double(report.latency_us.p50(), 3)
+                << ", \"p95_us\": " << rtp::format_double(report.latency_us.p95(), 3)
+                << ", \"p99_us\": " << rtp::format_double(report.latency_us.p99(), 3)
+                << ", \"max_us\": " << rtp::format_double(report.latency_us.max(), 3)
+                << ", \"hit_rate\": " << rtp::format_double(hit_rate, 3) << "}";
     }
 
     if (args.flag("csv")) {
@@ -132,8 +95,6 @@ int main(int argc, char** argv) {
       std::cout << "Online wait-time service throughput (1 + repeats queries per submit)\n";
       table.print(std::cout);
     }
-    std::cout << (ok ? "equivalence check: answers identical across shadow and cache modes\n"
-                     : "equivalence check: FAILED\n");
 
     const std::string json_path = args.str("json");
     if (!json_path.empty()) {
@@ -147,7 +108,7 @@ int main(int argc, char** argv) {
       std::cerr << "bench_service_throughput: results persisted to " << json_path
                 << "\n";
     }
-    return ok ? 0 : 1;
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "bench_service_throughput: " << e.what() << "\n";
     return 1;

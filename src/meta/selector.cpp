@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.hpp"
+#include "sched/shadow.hpp"
 
 namespace rtp {
 
@@ -27,10 +28,7 @@ SiteEstimate SiteSelector::evaluate_site(const Site& site, const Job& job,
   // Snapshot the site, refresh every estimate with its predictor, enqueue
   // the candidate and replay — exactly the wait-time method of §3.
   SystemState shadow = site.state();
-  for (SchedJob& sj : shadow.mutable_queue())
-    sj.estimate = site.predictor().estimate(*sj.job, 0.0);
-  for (SchedJob& sj : shadow.mutable_running())
-    sj.estimate = site.predictor().estimate(*sj.job, sj.age(now));
+  reestimate_all(shadow, site.predictor(), now);
   shadow.enqueue(job, now, estimate.predicted_runtime);
 
   estimate.wait_interval =

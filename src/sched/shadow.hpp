@@ -26,9 +26,12 @@
 // Contract: at every query, predicted_start(now, id) is bit-identical to
 //   predict_start_time(S, policy, now, id)
 // where S is a fresh copy of the live state with reestimate_all applied —
-// exactly the legacy recompute-per-query path.  The booking arithmetic is
-// shared with forward_simulate (booking_order / profile_from_running /
-// book_reservation), so the two cannot drift.
+// the paper's recompute-per-query method, which the tests keep as their
+// oracle.  The booking arithmetic is shared with forward_simulate
+// (booking_order / profile_from_running / book_reservation), so the two
+// cannot drift.  This is the only production wait engine: the online
+// session repairs one across its event stream, and WaitTimeObserver
+// resets one from the live state at every submission.
 //
 // EASY backfill is the documented fallback: its backfill choices depend on
 // the whole event-by-event replay, so there is no static booking list to
@@ -52,8 +55,8 @@ namespace rtp {
 /// Overwrite every job's `estimate` in `state` with `predictor`'s current
 /// prediction: queued jobs at age 0, running jobs at their age relative to
 /// `now` — "a wait-time prediction requires run-time predictions of all
-/// applications in the system".  Shared by WaitTimeObserver, the online
-/// service and the incremental shadow so the estimate paths cannot drift.
+/// applications in the system".  Shared by the shadow schedule and the
+/// site selector so the estimate paths cannot drift.
 void reestimate_all(SystemState& state, RuntimeEstimator& predictor, Seconds now);
 
 /// Repair-vs-rebuild accounting, surfaced through the service's STATS verb.
@@ -95,9 +98,9 @@ class ShadowSchedule {
   /// bit-identical to predict_start_time over a fresh refreshed snapshot.
   Seconds predicted_start(Seconds now, JobId id);
 
-  /// The mirror with every estimate refreshed at `now` — field-for-field
-  /// the state a fresh shadow_state() copy would produce.  The interval
-  /// predictor's scaled replays run over it.
+  /// The mirror with every estimate refreshed at `now` — field-for-field a
+  /// fresh copy of the live state with reestimate_all applied.  The
+  /// interval predictor's scaled replays run over it.
   const SystemState& refreshed_state(Seconds now);
 
   const ShadowCounters& counters() const { return counters_; }

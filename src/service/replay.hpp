@@ -11,8 +11,9 @@
 //
 // replay_through_session() is the open-loop driver: events are applied at
 // a configurable time-compression factor, every SUBMIT is followed by an
-// ESTIMATE query (plus optional repeats, which is what the estimate cache
-// accelerates), and per-query latency lands in a log-bucketed histogram.
+// ESTIMATE query (plus optional repeats, which the shadow schedule answers
+// from their existing booking), and per-query latency lands in a
+// log-bucketed histogram.
 #pragma once
 
 #include <iosfwd>
@@ -44,8 +45,8 @@ struct ReplayOptions {
   /// Issue an ESTIMATE for every submitted job right after its SUBMIT —
   /// the paper's "predict at submission", scored by the session.
   bool estimate_on_submit = true;
-  /// Repeat each post-submit ESTIMATE this many extra times.  Repeats hit
-  /// the version-keyed cache when it is enabled.
+  /// Repeat each post-submit ESTIMATE this many extra times.  Repeats reuse
+  /// the first query's booking and count as cache hits.
   int extra_queries = 0;
 };
 
@@ -58,8 +59,6 @@ struct ReplayReport {
   LatencyHistogram latency_us;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// Returned expected waits (seconds); cache on/off must agree exactly.
-  RunningStats answers;
 };
 
 /// Apply `events` to `session` in order via the C++ API (no text layer),

@@ -456,15 +456,13 @@ std::string ServiceServer::stats_body(bool with_hist) const {
       " mean_abs_err_s=" + format_number(session_.error_stats().mean()) +
       " shed=" + std::to_string(shed_.load(std::memory_order_relaxed)) +
       " shed_connections=" + std::to_string(transport_.shed_connections());
-  // Incremental-shadow repair accounting; absent on the legacy path, so a
-  // legacy server's STATS line is byte-identical to before.
-  if (const ShadowCounters* shadow = session_.shadow_counters(); shadow != nullptr) {
-    out += " shadow_rebuilds=" + std::to_string(shadow->rebuilds) +
-           " shadow_repairs=" + std::to_string(shadow->repairs) +
-           " shadow_bookings=" + std::to_string(shadow->bookings) +
-           " shadow_reused=" + std::to_string(shadow->reused) +
-           " shadow_easy_replays=" + std::to_string(shadow->easy_replays);
-  }
+  // Shadow schedule repair accounting.
+  const ShadowCounters& shadow = session_.shadow_counters();
+  out += " shadow_rebuilds=" + std::to_string(shadow.rebuilds) +
+         " shadow_repairs=" + std::to_string(shadow.repairs) +
+         " shadow_bookings=" + std::to_string(shadow.bookings) +
+         " shadow_reused=" + std::to_string(shadow.reused) +
+         " shadow_easy_replays=" + std::to_string(shadow.easy_replays);
   if (options_.journal != nullptr) {
     const JournalWriter::Counters& j = options_.journal->counters();
     out += " journal_records=" + std::to_string(j.records) +

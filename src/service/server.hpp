@@ -14,8 +14,9 @@
 // The session itself is single-threaded by design, so a mutex serializes
 // request handling; concurrency buys overlapped I/O, not parallel shadow
 // simulations.  Every request is timed into log-bucketed histograms
-// (src/stats/histogram.hpp) and the STATS verb reports throughput, cache
-// hit rate, latency quantiles and the session's wait/error aggregates.
+// (src/stats/histogram.hpp) and the STATS verb reports throughput, the
+// booking reuse rate (hit_rate), latency quantiles and the session's
+// wait/error aggregates.
 //
 // Durability.  With a JournalWriter attached (ServerOptions::journal) the
 // server is write-ahead: each mutating event line is appended to the

@@ -19,11 +19,8 @@ OnlineSession::OnlineSession(int machine_nodes, const SchedulerPolicy& policy,
     : options_(std::move(options)),
       policy_(policy),
       predictor_(predictor),
-      state_(machine_nodes) {
-  RTP_CHECK(machine_nodes > 0, "session machine_nodes must be positive");
-  if (options_.incremental_shadow)
-    shadow_ = std::make_unique<ShadowSchedule>(machine_nodes, policy_, predictor_);
-}
+      state_(machine_nodes),
+      shadow_(machine_nodes, policy_, predictor_) {}
 
 void OnlineSession::advance_time(Seconds t) {
   RTP_CHECK(t >= now_, "event time went backwards (session time " +
@@ -63,7 +60,7 @@ void OnlineSession::submit(const Job& job, Seconds t) {
   // a snapshot, or the shadow schedule's own refresh); the stored value is
   // never read before then.
   state_.enqueue(*stable, t, 0.0);
-  if (shadow_ != nullptr) shadow_->on_submit(*stable, t);
+  shadow_.on_submit(*stable, t);
 
   if (!saw_event_) first_submit_ = t;
   saw_event_ = true;
@@ -81,7 +78,7 @@ void OnlineSession::start(JobId id, Seconds t) {
 
   now_ = t;
   state_.start_job(id, t);
-  if (shadow_ != nullptr) shadow_->on_start(id, t);
+  shadow_.on_start(id, t);
   record.queued = false;
   record.running = true;
   record.attempt_start = t;
@@ -108,7 +105,7 @@ void OnlineSession::finish(JobId id, Seconds t) {
 
   now_ = t;
   state_.finish_job(id);
-  if (shadow_ != nullptr) shadow_->on_finish(id);
+  shadow_.on_finish(id);
   record.running = false;
   record.finished = true;
   predictor_.job_completed(*record.job, t);
@@ -132,7 +129,7 @@ void OnlineSession::cancel(JobId id, Seconds t) {
       break;
     }
   }
-  if (shadow_ != nullptr) shadow_->on_cancel(id, t);
+  shadow_.on_cancel(id, t);
   record.queued = false;
   record.canceled = true;
   predicted_wait_.erase(id);
@@ -184,7 +181,7 @@ void OnlineSession::fail(JobId id, Seconds t) {
   // Back to the queue tail immediately: the mirror has no backoff clock of
   // its own; the mirrored scheduler's next START decides when it runs again.
   state_.enqueue(*record.job, t, 0.0);
-  if (shadow_ != nullptr) shadow_->on_fail(id, t);
+  shadow_.on_fail(id, t);
   record.queued = true;
   ++retries_;
   bump_version();
@@ -197,7 +194,7 @@ void OnlineSession::node_down(int nodes, Seconds t) {
             "node_down: not enough free nodes; evict running jobs first (FAIL)");
   now_ = t;
   state_.take_nodes_down(nodes);
-  if (shadow_ != nullptr) shadow_->on_node_down(nodes);
+  shadow_.on_node_down(nodes);
   ++node_outages_;
   bump_version();
 }
@@ -208,40 +205,8 @@ void OnlineSession::node_up(int nodes, Seconds t) {
   RTP_CHECK(nodes <= state_.down_nodes(), "node_up: more nodes than are down");
   now_ = t;
   state_.bring_nodes_up(nodes);
-  if (shadow_ != nullptr) shadow_->on_node_up(nodes);
+  shadow_.on_node_up(nodes);
   bump_version();
-}
-
-SystemState OnlineSession::shadow_state() {
-  SystemState shadow = state_;
-  reestimate_all(shadow, predictor_, now_);
-  return shadow;
-}
-
-Seconds OnlineSession::shadow_wait(JobId id) {
-  if (shadow_ != nullptr) return shadow_->predicted_start(now_, id) - now_;
-  return predict_start_time(shadow_state(), policy_, now_, id) - now_;
-}
-
-WaitInterval OnlineSession::shadow_interval(JobId id, double optimistic_scale,
-                                            double pessimistic_scale) {
-  if (shadow_ != nullptr) {
-    // The point estimate comes from the incremental bookings; only the two
-    // scaled replays run over the refreshed mirror.
-    const Seconds expected = shadow_->predicted_start(now_, id) - now_;
-    return predict_wait_interval_at(shadow_->refreshed_state(now_), policy_, now_, id,
-                                    expected, optimistic_scale, pessimistic_scale);
-  }
-  return predict_wait_interval(shadow_state(), policy_, now_, id, optimistic_scale,
-                               pessimistic_scale);
-}
-
-OnlineSession::CachedEstimate& OnlineSession::cache_slot(JobId id) {
-  if (cache_version_ != version_) {
-    cache_.clear();
-    cache_version_ = version_;
-  }
-  return cache_[id];
 }
 
 Seconds OnlineSession::estimate_wait(JobId id) {
@@ -249,24 +214,12 @@ Seconds OnlineSession::estimate_wait(JobId id) {
   RTP_CHECK(record.queued, "estimate: job " + std::to_string(id) + " is not queued");
   ++counters_.queries;
 
-  Seconds expected;
-  if (!options_.cache_estimates) {
-    // Cache off means *no* cache work at all: no slot is created, the map
-    // stays empty (the off-mode tests assert this).
+  const std::uint64_t reused_before = shadow_.counters().reused;
+  const Seconds expected = shadow_.predicted_start(now_, id) - now_;
+  if (shadow_.counters().reused > reused_before)
+    ++counters_.cache_hits;
+  else
     ++counters_.cache_misses;
-    expected = shadow_wait(id);
-  } else {
-    CachedEstimate& slot = cache_slot(id);
-    if (slot.has_expected) {
-      ++counters_.cache_hits;
-      expected = slot.expected;
-    } else {
-      ++counters_.cache_misses;
-      expected = shadow_wait(id);
-      slot.expected = expected;
-      slot.has_expected = true;
-    }
-  }
   // The first estimate after a submission is the paper's "prediction at
   // submit time"; it is scored against the actual wait at START.
   if (record.attempts == 0 && record_predictions_) predicted_wait_.emplace(id, expected);
@@ -278,32 +231,14 @@ WaitInterval OnlineSession::estimate_interval(JobId id, double optimistic_scale,
   JobRecord& record = known(id);
   RTP_CHECK(record.queued, "estimate: job " + std::to_string(id) + " is not queued");
   ++counters_.queries;
+  ++counters_.cache_misses;  // the two band replays always run
 
-  WaitInterval band;
-  if (!options_.cache_estimates) {
-    ++counters_.cache_misses;
-    band = shadow_interval(id, optimistic_scale, pessimistic_scale);
-  } else {
-    CachedEstimate& slot = cache_slot(id);
-    // Scales are cache-key inputs, so they compare as bit patterns, not
-    // numerically: raw double == treats +0.0 and -0.0 as the same key and a
-    // NaN as unequal to itself — the first can serve a band computed for
-    // different scale bits, the second defeats the cache silently.
-    if (slot.has_band && time_bits_eq(slot.optimistic_scale, optimistic_scale) &&
-        time_bits_eq(slot.pessimistic_scale, pessimistic_scale)) {
-      ++counters_.cache_hits;
-      band = slot.band;
-    } else {
-      ++counters_.cache_misses;
-      band = shadow_interval(id, optimistic_scale, pessimistic_scale);
-      slot.band = band;
-      slot.has_band = true;
-      slot.optimistic_scale = optimistic_scale;
-      slot.pessimistic_scale = pessimistic_scale;
-      slot.expected = band.expected;
-      slot.has_expected = true;
-    }
-  }
+  // The point estimate comes from the shadow's bookings; only the two
+  // scaled replays run over the refreshed mirror.
+  const Seconds expected = shadow_.predicted_start(now_, id) - now_;
+  const WaitInterval band =
+      predict_wait_interval_at(shadow_.refreshed_state(now_), policy_, now_, id, expected,
+                               optimistic_scale, pessimistic_scale);
   if (record.attempts == 0 && record_predictions_)
     predicted_wait_.emplace(id, band.expected);
   return band;
@@ -670,14 +605,9 @@ void OnlineSession::restore(std::istream& in) {
   // matches the serialized session's bit-for-bit.
   for (const auto& [id, t] : completions_) predictor_.job_completed(snapshot_job(id), t);
 
-  // Query-side state starts cold: the estimate cache is empty and the
-  // cache key matches the restored version, so the next query recomputes.
-  cache_.clear();
-  cache_version_ = version_;
-
-  // Resynchronize the incremental shadow from the restored state; its
-  // estimates refresh at the next query.
-  if (shadow_ != nullptr) shadow_->reset(state_);
+  // Resynchronize the shadow from the restored state; its estimates refresh
+  // at the next query.
+  shadow_.reset(state_);
 }
 
 SimResult OnlineSession::result() const {

@@ -6,21 +6,16 @@
 // simulate().  It mirrors a live scheduler (the paper's deployment: the
 // estimate service sits beside the real scheduler and observes it), feeds
 // completions to the run-time predictor online, and answers wait-time
-// queries with the existing shadow simulation (predict_start_time /
-// predict_wait_interval) over a snapshot of its state.
+// queries with the paper's shadow simulation.
 //
-// Incremental shadow schedule.  By default queries are served by a
-// persistent ShadowSchedule (sched/shadow.hpp): every applied event repairs
-// a long-lived mirror + booking structure instead of every query copying
-// and replaying the whole state.  Answers are bit-identical to the legacy
-// recompute-per-query path, which remains available as a verification
-// oracle (SessionOptions::incremental_shadow = false).
-//
-// Estimate cache.  Independently of how an answer is computed, the session
-// keeps a cache keyed on a *state version counter* (bumped by every applied
-// event); repeated queries between events are O(1) lookups.  Answers are
-// identical with the cache on or off; with the cache off the cache map is
-// never even touched.
+// Shadow schedule.  Queries are served by a persistent ShadowSchedule
+// (sched/shadow.hpp): every applied event repairs a long-lived mirror +
+// booking structure instead of every query copying and replaying the whole
+// state.  Answers are bit-identical to copying the state, refreshing every
+// estimate and replaying the policy (the tests keep that recompute path as
+// their oracle).  A repeated query between events is answered from its
+// existing booking; the cache_hits / cache_misses counters report exactly
+// that reuse.
 //
 // Equivalence.  Replaying a batch run's event stream (service/replay.hpp)
 // through a session reproduces the batch SimResult metrics and the
@@ -52,22 +47,17 @@ namespace rtp {
 struct SessionOptions {
   /// Name stamped on result() (SimResult::workload_name).
   std::string name = "online";
-  /// Serve estimates from the version-keyed cache.  Off, every query runs
-  /// the shadow simulation afresh and the cache map is never touched
-  /// (answers are identical either way).
-  bool cache_estimates = true;
-  /// Answer queries from the persistent, incrementally repaired
-  /// ShadowSchedule.  Off, every query snapshots the state and replays the
-  /// policy from scratch — the slow reference path, kept as the oracle the
-  /// equivalence tests compare against.  Answers are bit-identical.
-  bool incremental_shadow = true;
 };
 
 /// Counters the session keeps beyond SimResult.
 struct SessionCounters {
   std::uint64_t events = 0;        ///< state-changing events applied
   std::uint64_t queries = 0;       ///< estimate_wait + estimate_interval calls
+  /// estimate_wait answered from an existing booking or EASY replay
+  /// (ShadowCounters::reused advanced during the call).
   std::uint64_t cache_hits = 0;
+  /// Every other query; estimate_interval always counts here, since its
+  /// two band replays always run.
   std::uint64_t cache_misses = 0;
   std::uint64_t canceled = 0;      ///< jobs removed from the queue by CANCEL
 };
@@ -112,7 +102,7 @@ class OnlineSession {
   void node_down(int nodes, Seconds t);
   void node_up(int nodes, Seconds t);
 
-  // --- Queries (cached; do not advance time). ---------------------------
+  // --- Queries (do not advance time). ----------------------------------
 
   /// Expected wait of queued job `id` from the current session time, via
   /// shadow simulation with every estimate refreshed by the predictor.
@@ -128,7 +118,7 @@ class OnlineSession {
   // --- Introspection. ---------------------------------------------------
 
   Seconds now() const { return now_; }
-  /// Bumped by every applied (state-changing) event; the cache key.
+  /// Bumped by every applied (state-changing) event.
   std::uint64_t state_version() const { return version_; }
   const SystemState& state() const { return state_; }
   /// Mirrored policy / predictor names (the replication config fingerprint
@@ -138,15 +128,8 @@ class OnlineSession {
   const SessionCounters& counters() const { return counters_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Repair/rebuild counters of the incremental shadow schedule; nullptr
-  /// when the legacy recompute-per-query path is active.
-  const ShadowCounters* shadow_counters() const {
-    return shadow_ != nullptr ? &shadow_->counters() : nullptr;
-  }
-
-  /// Entries currently held by the version-keyed estimate cache.  Always 0
-  /// when cache_estimates is off (the off path never touches the map).
-  std::size_t cached_estimates() const { return cache_.size(); }
+  /// Repair/rebuild counters of the shadow schedule.
+  const ShadowCounters& shadow_counters() const { return shadow_.counters(); }
 
   /// Wait-prediction scoring, same accounting as WaitTimeObserver:
   /// |predicted - actual| wait, actual waits, signed error.
@@ -164,9 +147,9 @@ class OnlineSession {
   /// Write the deterministic session state as a text snapshot: clock,
   /// version, every job record, retired id ranges, queue/running order,
   /// registered predictions, accumulated statistics (exact double bit
-  /// patterns), and the ordered completion history the predictor was fed.  Query-side
-  /// observability (queries, cache hit/miss counters, the estimate cache)
-  /// is deliberately excluded: it resets on recovery.
+  /// patterns), and the ordered completion history the predictor was fed.
+  /// Query-side observability (queries, cache hit/miss counters, the
+  /// shadow's bookings) is deliberately excluded: it resets on recovery.
   void serialize(std::ostream& out) const;
 
   /// Rebuild from serialize() output.  Must be called on a *fresh* session
@@ -211,28 +194,10 @@ class OnlineSession {
     bool canceled = false;
   };
 
-  struct CachedEstimate {
-    bool has_expected = false;
-    Seconds expected = 0.0;
-    bool has_band = false;
-    double optimistic_scale = 0.0;
-    double pessimistic_scale = 0.0;
-    WaitInterval band;
-  };
-
   /// Advance the clock; throws on regression, leaving state untouched.
   void advance_time(Seconds t);
   void bump_version();
   JobRecord& known(JobId id);
-  /// Shadow snapshot with every estimate refreshed by the predictor (the
-  /// legacy oracle path; the incremental path never copies the state).
-  SystemState shadow_state();
-  /// Expected wait of queued job `id`, via the incremental shadow when
-  /// enabled and the fresh-snapshot replay otherwise (bit-identical).
-  Seconds shadow_wait(JobId id);
-  WaitInterval shadow_interval(JobId id, double optimistic_scale,
-                               double pessimistic_scale);
-  CachedEstimate& cache_slot(JobId id);
   /// Drop the JobRecord of a canceled never-started job, remembering its id
   /// in the coalesced retired ranges so a duplicate SUBMIT is still
   /// rejected.  Keeps jobs_ and every snapshot bounded by the *live* and
@@ -258,13 +223,8 @@ class OnlineSession {
   /// ranges lo -> hi; their records are pruned from jobs_.
   std::map<JobId, JobId> retired_;
 
-  /// Incremental shadow schedule (options_.incremental_shadow); null means
-  /// the legacy recompute-per-query path.
-  std::unique_ptr<ShadowSchedule> shadow_;
-
-  // Estimate cache: valid while cache_version_ == version_.
-  std::unordered_map<JobId, CachedEstimate> cache_;
-  std::uint64_t cache_version_ = 0;
+  /// Answers every wait query; mirrors each applied event.
+  ShadowSchedule shadow_;
 
   // Wait-prediction scoring (first estimate after each submission).
   std::unordered_map<JobId, Seconds> predicted_wait_;

@@ -8,17 +8,16 @@
 
 namespace rtp {
 
+// The shadow's machine size is a placeholder: reset() replaces its mirror
+// with the live state, machine size included, before every query.
 WaitTimeObserver::WaitTimeObserver(const SchedulerPolicy& policy, RuntimeEstimator& predictor)
-    : policy_(policy), predictor_(predictor) {}
+    : predictor_(predictor), shadow_(1, policy, predictor) {}
 
 void WaitTimeObserver::on_submit(Seconds now, const SystemState& state, const Job& job) {
-  // Snapshot the live state and re-estimate every job with the predictor
-  // under test.
-  SystemState shadow = state;
-  reestimate_all(shadow, predictor_, now);
-
-  const Seconds predicted_start = predict_start_time(shadow, policy_, now, job.id);
-  predicted_wait_.emplace(job.id, predicted_start - now);
+  // Mirror the live state; the shadow re-estimates every job with the
+  // predictor under test and replays the policy up to the new job.
+  shadow_.reset(state);
+  predicted_wait_.emplace(job.id, shadow_.predicted_start(now, job.id) - now);
 }
 
 void WaitTimeObserver::on_start(const Job& job, Seconds start) {

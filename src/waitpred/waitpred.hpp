@@ -1,11 +1,13 @@
 // Queue wait-time prediction (paper §3).
 //
-// At every job submission the live scheduler state is snapshotted, every
-// job's run time is (re-)predicted with the predictor under test, and the
-// scheduling policy is replayed forward on the snapshot ("shadow
-// simulation") until the new job starts.  The replayed start time is the
-// predicted wait; it is compared against the job's actual start in the live
-// simulation.
+// At every job submission the live scheduler state is mirrored into a
+// ShadowSchedule (sched/shadow.hpp), every job's run time is (re-)predicted
+// with the predictor under test, and the scheduling policy is replayed
+// forward on the mirror ("shadow simulation") until the new job starts.
+// The replayed start time is the predicted wait; it is compared against
+// the job's actual start in the live simulation.  The online service
+// answers its queries with the same ShadowSchedule, so the two cannot
+// drift.
 //
 // As in the paper, the *live* scheduler runs on user-supplied maximum run
 // times (the EASY convention) regardless of which predictor is being
@@ -20,7 +22,7 @@
 
 #include "sched/estimator.hpp"
 #include "sched/policy.hpp"
-#include "sched/shadow.hpp"  // reestimate_all (moved beside ShadowSchedule)
+#include "sched/shadow.hpp"
 #include "sim/simulator.hpp"
 #include "stats/summary.hpp"
 #include "workload/workload.hpp"
@@ -48,8 +50,8 @@ class WaitTimeObserver final : public SimObserver {
   const RunningStats& signed_error_stats() const { return signed_error_; }
 
  private:
-  const SchedulerPolicy& policy_;
   RuntimeEstimator& predictor_;
+  ShadowSchedule shadow_;
   std::unordered_map<JobId, Seconds> predicted_wait_;
   RunningStats error_;
   RunningStats waits_;
@@ -97,8 +99,8 @@ WaitInterval predict_wait_interval(const SystemState& state, const SchedulerPoli
                                    double pessimistic_scale = 2.0);
 
 /// predict_wait_interval with the point estimate supplied by the caller —
-/// the incremental shadow schedule already has it as a booking, so only the
-/// two scaled replays run.  `expected_wait` must be the wait
+/// the shadow schedule already has it as a booking, so only the two scaled
+/// replays run.  `expected_wait` must be the wait
 /// predict_start_time would produce over `state` (the band is clamped
 /// around it).
 WaitInterval predict_wait_interval_at(const SystemState& state,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "exp/experiments.hpp"
 #include "predict/simple.hpp"
@@ -19,6 +20,10 @@ struct Combo {
   PolicyKind policy;
   PredictorKind predictor;
 };
+
+// gtest lists a parameter without a printer as its raw bytes, which would
+// put a pointer that moves with ASLR into every listed name.
+void PrintTo(const Combo& c, std::ostream* os) { *os << c.name; }
 
 class ComboParam : public ::testing::TestWithParam<Combo> {};
 

@@ -29,7 +29,7 @@ class ShapedPredictor final : public RuntimeEstimator {
 std::uint64_t bits(Seconds s) { return std::bit_cast<std::uint64_t>(s); }
 
 /// Drives a live SystemState and a ShadowSchedule through the same events
-/// and checks every queued job's predicted start against the legacy oracle
+/// and checks every queued job's predicted start against the recompute oracle
 /// (fresh copy + reestimate_all + predict_start_time) after each step.
 class Driver {
  public:

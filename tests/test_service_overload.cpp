@@ -25,9 +25,9 @@ namespace {
 
 constexpr int kLoadedJobs = 20000;
 
-/// A session whose ESTIMATE answers are deliberately expensive: thousands
-/// of queued jobs and no estimate cache, so every query re-runs the shadow
-/// simulation and holds the server lock for a while.
+/// A session whose first ESTIMATE of the last job is deliberately
+/// expensive: the shadow books thousands of queued jobs ahead of it and
+/// holds the server lock for a while.
 void load_session(OnlineSession& session) {
   for (int i = 0; i < kLoadedJobs; ++i) {
     Job job;
@@ -75,9 +75,7 @@ bool flood_until_shed(ServiceServer& server, std::uint64_t* ok_probes_out) {
 TEST(ServiceOverload, PendingLimitShedsWithBusyAndRecovers) {
   ConstantPredictor predictor(600.0);
   const auto policy = make_policy(PolicyKind::Fcfs);
-  SessionOptions session_options;
-  session_options.cache_estimates = false;
-  OnlineSession session(8, *policy, predictor, session_options);
+  OnlineSession session(8, *policy, predictor);
   load_session(session);
 
   ServerOptions options;
@@ -96,9 +94,7 @@ TEST(ServiceOverload, PendingLimitShedsWithBusyAndRecovers) {
 TEST(ServiceOverload, RequestDeadlineShedsSlowWaits) {
   ConstantPredictor predictor(600.0);
   const auto policy = make_policy(PolicyKind::Fcfs);
-  SessionOptions session_options;
-  session_options.cache_estimates = false;
-  OnlineSession session(8, *policy, predictor, session_options);
+  OnlineSession session(8, *policy, predictor);
   load_session(session);
 
   ServerOptions options;

@@ -1,7 +1,9 @@
 // OnlineSession semantics: the keystone equivalence with the batch
-// simulator, cache correctness, and event validation.
+// simulator, bit-identity with the recompute-per-query oracle, the
+// booking-reuse counters, and event validation.
 #include "service/session.hpp"
 
+#include <bit>
 #include <cstddef>
 #include <sstream>
 
@@ -12,6 +14,7 @@
 #include "sched/policy.hpp"
 #include "service/replay.hpp"
 #include "workload/synthetic.hpp"
+#include "recompute_oracle.hpp"
 
 namespace rtp {
 namespace {
@@ -85,40 +88,66 @@ TEST_P(SessionEquivalence, ReplayReproducesBatchBitForBit) {
   EXPECT_EQ(to_minutes(session.wait_stats().mean()), batch.mean_wait_minutes);
   EXPECT_EQ(to_minutes(session.signed_error_stats().mean()),
             batch.mean_signed_error_minutes);
+
+  // Both paths above run ShadowSchedule; the recompute oracle must score
+  // the same predictions.
+  auto oracle_predictor = make_runtime_estimator(c.predictor, w);
+  RecomputeObserver oracle(*policy, *oracle_predictor);
+  MaxRuntimePredictor oracle_live(w);
+  simulate(w, *policy, oracle_live, &oracle);
+  EXPECT_EQ(session.error_stats().count(), oracle.error_stats().count());
+  EXPECT_EQ(session.error_stats().mean(), oracle.error_stats().mean());
+  EXPECT_EQ(session.signed_error_stats().mean(), oracle.signed_error_stats().mean());
 }
 
 INSTANTIATE_TEST_SUITE_P(Sites, SessionEquivalence, ::testing::Values(0u, 1u, 2u, 3u));
 
-TEST(SessionCache, SameAnswersAndStatsWithCacheOnAndOff) {
-  const Workload w = generate_synthetic(anl_config(0.01));
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Replays every paper site's recorded session (conservative backfill) with
+/// repeat ESTIMATEs after each SUBMIT and checks every answer, plus every
+/// seventh submission's INTERVAL, bit for bit against the recompute oracle.
+void expect_replay_matches_recompute(PredictorKind kind) {
+  constexpr int kRepeats = 3;
   const auto policy = make_policy(PolicyKind::BackfillConservative);
-  MaxRuntimePredictor live(w);
-  const RecordedRun recorded = record_session_log(w, *policy, live);
+  for (const Workload& w : paper_workloads(0.02)) {
+    SCOPED_TRACE(w.name());
+    MaxRuntimePredictor live(w);
+    const RecordedRun recorded = record_session_log(w, *policy, live);
+    auto predictor = make_runtime_estimator(kind, w);
+    OnlineSession session(w.machine_nodes(), *policy, *predictor);
 
-  ReplayOptions options;
-  options.extra_queries = 2;  // repeats exercise the cache when enabled
-
-  RunningStats answers[2];
-  RunningStats errors[2];
-  std::uint64_t hits[2];
-  for (const bool cached : {false, true}) {
-    auto predictor = make_runtime_estimator(PredictorKind::Stf, w);
-    SessionOptions session_options;
-    session_options.cache_estimates = cached;
-    OnlineSession session(w.machine_nodes(), *policy, *predictor, session_options);
-    const ReplayReport report = replay_through_session(session, recorded.events, options);
-    answers[cached] = report.answers;
-    errors[cached] = session.error_stats();
-    hits[cached] = report.cache_hits;
+    std::uint64_t submits = 0;
+    std::uint64_t intervals = 0;
+    for (const Request& ev : recorded.events) {
+      apply_event(session, ev);
+      if (ev.kind != RequestKind::Submit) continue;
+      const Seconds expected = recompute_wait(session, *policy, *predictor, ev.id);
+      for (int q = 0; q <= kRepeats; ++q)
+        ASSERT_EQ(bits(session.estimate_wait(ev.id)), bits(expected))
+            << "job " << ev.id << " query " << q;
+      if (submits++ % 7 == 0) {
+        const WaitInterval a = session.estimate_interval(ev.id);
+        const WaitInterval b = recompute_interval(session, *policy, *predictor, ev.id);
+        ASSERT_EQ(bits(a.expected), bits(b.expected)) << "job " << ev.id;
+        ASSERT_EQ(bits(a.optimistic), bits(b.optimistic)) << "job " << ev.id;
+        ASSERT_EQ(bits(a.pessimistic), bits(b.pessimistic)) << "job " << ev.id;
+        ++intervals;
+      }
+    }
+    // The first ESTIMATE after a SUBMIT books the new job; its repeats
+    // reuse that booking.  Every INTERVAL runs its band replays.
+    EXPECT_EQ(session.counters().cache_hits, kRepeats * submits);
+    EXPECT_EQ(session.counters().cache_misses, submits + intervals);
   }
-  EXPECT_EQ(hits[0], 0u);
-  EXPECT_GT(hits[1], 0u);
-  EXPECT_EQ(answers[0].count(), answers[1].count());
-  EXPECT_EQ(answers[0].sum(), answers[1].sum());
-  EXPECT_EQ(answers[0].min(), answers[1].min());
-  EXPECT_EQ(answers[0].max(), answers[1].max());
-  EXPECT_EQ(errors[0].count(), errors[1].count());
-  EXPECT_EQ(errors[0].mean(), errors[1].mean());
+}
+
+TEST(SessionReplayAnswers, MaxPredictorMatchesRecomputeAtEverySite) {
+  expect_replay_matches_recompute(PredictorKind::MaxRuntime);
+}
+
+TEST(SessionReplayAnswers, StfPredictorMatchesRecomputeAtEverySite) {
+  expect_replay_matches_recompute(PredictorKind::Stf);
 }
 
 TEST(SessionCache, RepeatedQueryHitsUntilStateChanges) {
@@ -150,7 +179,7 @@ TEST(SessionCache, RepeatedQueryHitsUntilStateChanges) {
   EXPECT_EQ(session.counters().cache_misses, 2u);
 }
 
-TEST(SessionCache, IntervalSharesTheCacheAndBandOrdering) {
+TEST(SessionCache, IntervalReusesTheBookingButAlwaysReplaysTheBand) {
   ConstantPredictor predictor(minutes(10));
   const auto policy = make_policy(PolicyKind::Fcfs);
   OnlineSession session(4, *policy, predictor);
@@ -168,15 +197,20 @@ TEST(SessionCache, IntervalSharesTheCacheAndBandOrdering) {
   const WaitInterval band = session.estimate_interval(1);
   EXPECT_LE(band.optimistic, band.expected);
   EXPECT_GE(band.pessimistic, band.expected);
-  // The interval computed the expected value; a plain estimate now hits.
-  const std::uint64_t misses = session.counters().cache_misses;
+  const WaitInterval oracle = recompute_interval(session, *policy, predictor, 1);
+  EXPECT_EQ(bits(band.expected), bits(oracle.expected));
+  EXPECT_EQ(bits(band.optimistic), bits(oracle.optimistic));
+  EXPECT_EQ(bits(band.pessimistic), bits(oracle.pessimistic));
+  EXPECT_EQ(session.counters().cache_misses, 1u);
+
+  // The interval booked the job; a plain estimate now reuses that booking.
   EXPECT_EQ(session.estimate_wait(1), band.expected);
-  EXPECT_EQ(session.counters().cache_misses, misses);
-  // Same scales hit; different scales recompute.
+  EXPECT_EQ(session.counters().cache_hits, 1u);
+  // An interval always runs its band replays, whatever the scales.
   session.estimate_interval(1);
-  EXPECT_EQ(session.counters().cache_misses, misses);
   session.estimate_interval(1, 0.25, 4.0);
-  EXPECT_EQ(session.counters().cache_misses, misses + 1);
+  EXPECT_EQ(session.counters().cache_hits, 1u);
+  EXPECT_EQ(session.counters().cache_misses, 3u);
 }
 
 TEST(SessionChurn, CancelChurnKeepsSnapshotBounded) {
@@ -242,72 +276,6 @@ TEST(SessionChurn, CancelChurnKeepsSnapshotBounded) {
   std::ostringstream out2;
   restored.serialize(out2);
   EXPECT_EQ(out.str(), out2.str());
-}
-
-TEST(SessionCache, OffModeNeverTouchesTheCacheMap) {
-  ConstantPredictor predictor(minutes(10));
-  const auto policy = make_policy(PolicyKind::Fcfs);
-  SessionOptions options;
-  options.cache_estimates = false;
-  OnlineSession session(4, *policy, predictor, options);
-
-  Job a;
-  a.id = 0;
-  a.nodes = 4;
-  a.runtime = minutes(10);
-  Job b = a;
-  b.id = 1;
-  b.nodes = 2;
-  session.submit(a, 0.0);
-  session.start(0, 0.0);
-  session.submit(b, 0.0);
-
-  for (int i = 0; i < 4; ++i) {
-    session.estimate_wait(1);
-    session.estimate_interval(1);
-  }
-  // Off means off: no slots were ever created, not even transient ones,
-  // and every query counts as a miss.
-  EXPECT_EQ(session.cached_estimates(), 0u);
-  EXPECT_EQ(session.counters().cache_hits, 0u);
-  EXPECT_EQ(session.counters().cache_misses, 8u);
-}
-
-TEST(SessionShadow, LegacyOracleMatchesIncrementalBitForBit) {
-  const auto policy = make_policy(PolicyKind::Lwf);
-  ConstantPredictor p1(minutes(10));
-  ConstantPredictor p2(minutes(10));
-  SessionOptions legacy_options;
-  legacy_options.incremental_shadow = false;
-  OnlineSession incremental(8, *policy, p1);
-  OnlineSession legacy(8, *policy, p2, legacy_options);
-  EXPECT_NE(incremental.shadow_counters(), nullptr);
-  EXPECT_EQ(legacy.shadow_counters(), nullptr);
-
-  const auto drive = [](OnlineSession& s) {
-    Job j;
-    j.nodes = 8;
-    j.runtime = minutes(30);
-    j.id = 0;
-    s.submit(j, 0.0);
-    s.start(0, 0.0);
-    j.id = 1;
-    j.nodes = 4;
-    s.submit(j, 5.0);
-    j.id = 2;
-    j.nodes = 2;
-    s.submit(j, 5.0);
-  };
-  drive(incremental);
-  drive(legacy);
-  for (const JobId id : {1, 2}) {
-    EXPECT_EQ(incremental.estimate_wait(id), legacy.estimate_wait(id));
-    const WaitInterval a = incremental.estimate_interval(id);
-    const WaitInterval b = legacy.estimate_interval(id);
-    EXPECT_EQ(a.expected, b.expected);
-    EXPECT_EQ(a.optimistic, b.optimistic);
-    EXPECT_EQ(a.pessimistic, b.pessimistic);
-  }
 }
 
 TEST(SessionEvents, ValidationRejectsWithoutCorruptingState) {

@@ -6,9 +6,10 @@
 // every event queries every queued job on four sessions fed the identical
 // stream:
 //
-//   primary    incremental shadow (the production path)
-//   oracle     incremental_shadow = false (recompute-per-query reference)
-//   follower   incremental, record_predictions off, fed decoded journal
+//   primary    the shadow schedule (the production path)
+//   oracle     answered by the recompute helper (recompute_oracle.hpp);
+//              registers its predictions through restore_prediction
+//   follower   shadow schedule, record_predictions off, fed decoded journal
 //              records exactly as the replication follower is
 //   recovered  rebuilt by recover_session from a journal of the stream
 //              (snapshot written mid-stream + event/prediction tail)
@@ -21,11 +22,10 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
+#include <ostream>
 #include <sstream>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -36,6 +36,7 @@
 #include "service/journal.hpp"
 #include "service/protocol.hpp"
 #include "service/session.hpp"
+#include "recompute_oracle.hpp"
 
 namespace rtp {
 namespace {
@@ -199,38 +200,21 @@ class StreamGenerator {
   std::vector<Slot> running_;
 };
 
-void apply_request(OnlineSession& session, const Request& r) {
-  switch (r.kind) {
-    case RequestKind::Submit: session.submit(r.job, r.time); return;
-    case RequestKind::Start: session.start(r.id, r.time); return;
-    case RequestKind::Finish: session.finish(r.id, r.time); return;
-    case RequestKind::Cancel: session.cancel(r.id, r.time); return;
-    case RequestKind::Fail: session.fail(r.id, r.time); return;
-    case RequestKind::NodeDown: session.node_down(r.nodes, r.time); return;
-    case RequestKind::NodeUp: session.node_up(r.nodes, r.time); return;
-    default: FAIL() << "not an event request";
-  }
-}
-
 std::string serialized(const OnlineSession& session) {
   std::ostringstream out;
   session.serialize(out);
   return out.str();
 }
 
-// gtest prints a parameter without operator<< as its raw bytes, and that
-// print is part of every listed test name. The label is held inline (not as
-// a pointer, whose bytes move with ASLR) and the fields leave no padding, so
-// the names are the same on every build and every run.
 struct FuzzCase {
   std::uint64_t seed;
   PolicyKind policy;
-  char name[12];  // NUL-padded; "conservative" fills it exactly
-
-  std::string label() const { return std::string(name, strnlen(name, sizeof name)); }
+  const char* label;
 };
-static_assert(std::has_unique_object_representations_v<FuzzCase>,
-              "padding bytes would make the printed test names vary");
+
+// gtest lists a parameter without a printer as its raw bytes, which would
+// put a pointer that moves with ASLR into every listed name.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.label; }
 
 class ShadowFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
@@ -243,13 +227,15 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
 
   HistoryShapedPredictor primary_predictor, oracle_predictor, follower_predictor;
   OnlineSession primary(kMachineNodes, *policy, primary_predictor);
-  SessionOptions oracle_options;
-  oracle_options.incremental_shadow = false;
-  OnlineSession oracle(kMachineNodes, *policy, oracle_predictor, oracle_options);
+  // The oracle session only tracks state; recompute_wait answers for it.
+  OnlineSession oracle(kMachineNodes, *policy, oracle_predictor);
+  const auto oracle_wait = [&](JobId id) {
+    return recompute_wait(oracle, *policy, oracle_predictor, id);
+  };
   OnlineSession follower(kMachineNodes, *policy, follower_predictor);
   follower.set_record_predictions(false);
 
-  const std::string journal_path = temp_journal_path(c.label());
+  const std::string journal_path = temp_journal_path(c.label);
   std::remove(journal_path.c_str());
   JournalWriter journal(journal_path);
 
@@ -260,23 +246,24 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
     const Request event = generator.next();
     const std::string line = format_request(event);
     journal.append_event(line);
-    apply_request(primary, event);
+    apply_event(primary, event);
     journal.commit();
-    apply_request(oracle, event);
+    apply_event(oracle, event);
     apply_journal_record(follower, {RecordType::Event, line, 0});
 
     // Query every queued job on all three live sessions.
     for (const JobId id : generator.queued_ids()) {
       const bool first = primary.recorded_prediction(id) == kNoTime;
-      const Seconds expected = oracle.estimate_wait(id);
+      const Seconds expected = oracle_wait(id);
       const Seconds actual = primary.estimate_wait(id);
       ASSERT_EQ(bits(actual), bits(expected))
-          << c.label() << " step " << step << " job " << id << ": incremental "
+          << c.label << " step " << step << " job " << id << ": incremental "
           << actual << " vs oracle " << expected;
       const Seconds mirrored = follower.estimate_wait(id);
       ASSERT_EQ(bits(mirrored), bits(expected))
-          << c.label() << " step " << step << " job " << id << " (follower)";
+          << c.label << " step " << step << " job " << id << " (follower)";
       if (first && primary.recorded_prediction(id) != kNoTime) {
+        oracle.restore_prediction(id, expected);
         // Replicate the registration exactly as the server does: as a
         // durable P record mirrored to followers.
         journal.append_prediction(id, primary.recorded_prediction(id));
@@ -294,10 +281,10 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
       const JobId id = queued[static_cast<std::size_t>(
           query_rng.uniform_int(0, static_cast<std::int64_t>(queued.size()) - 1))];
       const WaitInterval a = primary.estimate_interval(id);
-      const WaitInterval b = oracle.estimate_interval(id);
-      ASSERT_EQ(bits(a.expected), bits(b.expected)) << c.label() << " step " << step;
-      ASSERT_EQ(bits(a.optimistic), bits(b.optimistic)) << c.label() << " step " << step;
-      ASSERT_EQ(bits(a.pessimistic), bits(b.pessimistic)) << c.label() << " step " << step;
+      const WaitInterval b = recompute_interval(oracle, *policy, oracle_predictor, id);
+      ASSERT_EQ(bits(a.expected), bits(b.expected)) << c.label << " step " << step;
+      ASSERT_EQ(bits(a.optimistic), bits(b.optimistic)) << c.label << " step " << step;
+      ASSERT_EQ(bits(a.pessimistic), bits(b.pessimistic)) << c.label << " step " << step;
     }
 
     if (step == snapshot_at) {
@@ -311,9 +298,9 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
   // follower registered its predictions from P records, not queries).
   const std::string primary_state = serialized(primary);
   EXPECT_EQ(primary_state, serialized(oracle))
-      << c.label() << ": incremental and oracle sessions diverged";
+      << c.label << ": incremental and oracle sessions diverged";
   EXPECT_EQ(primary_state, serialized(follower))
-      << c.label() << ": follower session diverged";
+      << c.label << ": follower session diverged";
 
   // Journal recovery (snapshot + tail replay) reproduces the same bytes,
   // and its restored shadow keeps answering like the oracle.
@@ -323,17 +310,17 @@ TEST_P(ShadowFuzz, IncrementalOracleFollowerAndRecoveryAgreeBitForBit) {
   EXPECT_TRUE(report.used_snapshot);
   EXPECT_FALSE(report.truncated);
   EXPECT_EQ(primary_state, serialized(recovered))
-      << c.label() << ": journal recovery diverged";
+      << c.label << ": journal recovery diverged";
   for (const JobId id : generator.queued_ids())
-    ASSERT_EQ(bits(recovered.estimate_wait(id)), bits(oracle.estimate_wait(id)))
-        << c.label() << " job " << id << " (recovered)";
+    ASSERT_EQ(bits(recovered.estimate_wait(id)), bits(oracle_wait(id)))
+        << c.label << " job " << id << " (recovered)";
 
   // Follower promotion: recording predictions again must not disturb the
   // bit-identity of subsequent answers.
   follower.set_record_predictions(true);
   for (const JobId id : generator.queued_ids())
-    ASSERT_EQ(bits(follower.estimate_wait(id)), bits(oracle.estimate_wait(id)))
-        << c.label() << " job " << id << " (promoted follower)";
+    ASSERT_EQ(bits(follower.estimate_wait(id)), bits(oracle_wait(id)))
+        << c.label << " job " << id << " (promoted follower)";
 
   std::remove(journal_path.c_str());
 }
@@ -351,7 +338,7 @@ TEST_P(ShadowFuzz, MidStreamRestoreContinuesBitForBit) {
   std::vector<Request> tail;
   for (int step = 0; step < kEvents / 2; ++step) {
     const Request event = generator.next();
-    apply_request(live, event);
+    apply_event(live, event);
     for (const JobId id : generator.queued_ids()) live.estimate_wait(id);
   }
 
@@ -367,25 +354,24 @@ TEST_P(ShadowFuzz, MidStreamRestoreContinuesBitForBit) {
   // the final bytes must stay identical.
   for (int step = kEvents / 2; step < kEvents; ++step) {
     const Request event = generator.next();
-    apply_request(live, event);
-    apply_request(restored, event);
+    apply_event(live, event);
+    apply_event(restored, event);
     for (const JobId id : generator.queued_ids()) {
       ASSERT_EQ(bits(restored.estimate_wait(id)), bits(live.estimate_wait(id)))
-          << c.label() << " step " << step << " job " << id;
+          << c.label << " step " << step << " job " << id;
     }
   }
-  EXPECT_EQ(serialized(live), serialized(restored)) << c.label();
+  EXPECT_EQ(serialized(live), serialized(restored)) << c.label;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, ShadowFuzz,
     ::testing::Values(FuzzCase{0xA11CEull, PolicyKind::Fcfs, "fcfs"},
                       FuzzCase{0xB0B5ull, PolicyKind::Lwf, "lwf"},
-                      FuzzCase{0xC0FFEEull, PolicyKind::BackfillConservative,
-                               {'c', 'o', 'n', 's', 'e', 'r', 'v', 'a', 't', 'i', 'v', 'e'}},
+                      FuzzCase{0xC0FFEEull, PolicyKind::BackfillConservative, "conservative"},
                       FuzzCase{0xD00Dull, PolicyKind::BackfillEasy, "easy"}),
     [](const ::testing::TestParamInfo<FuzzCase>& param_info) {
-      return param_info.param.label();
+      return std::string(param_info.param.label);
     });
 
 }  // namespace

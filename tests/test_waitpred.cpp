@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "predict/factory.hpp"
 #include "predict/simple.hpp"
 #include "workload/synthetic.hpp"
+#include "recompute_oracle.hpp"
 
 namespace rtp {
 namespace {
@@ -130,6 +134,43 @@ TEST(WaitPred, ObserverStatsCoverEveryJob) {
   simulate(w, *policy, sched, &observer);
   EXPECT_EQ(observer.error_stats().count(), w.size());
   EXPECT_EQ(observer.wait_stats().count(), w.size());
+}
+
+TEST(WaitPred, ObserverMatchesRecomputeUnderEveryPolicy) {
+  // Tables 4-9 never run EASY, whose shadow replays the whole queue; every
+  // policy must still score exactly what the recompute oracle scores.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const Workload w = generate_synthetic(anl_config(0.03));
+  for (const PolicyKind policy_kind :
+       {PolicyKind::Fcfs, PolicyKind::Lwf, PolicyKind::BackfillConservative,
+        PolicyKind::BackfillEasy}) {
+    for (const PredictorKind predictor_kind : {PredictorKind::Stf, PredictorKind::Gibbons}) {
+      const auto policy = make_policy(policy_kind);
+      SCOPED_TRACE(policy->name() + " / " + to_string(predictor_kind));
+      auto predictor = make_runtime_estimator(predictor_kind, w);
+      WaitTimeObserver observer(*policy, *predictor);
+      MaxRuntimePredictor live(w);
+      simulate(w, *policy, live, &observer);
+
+      auto oracle_predictor = make_runtime_estimator(predictor_kind, w);
+      RecomputeObserver oracle(*policy, *oracle_predictor);
+      MaxRuntimePredictor oracle_live(w);
+      simulate(w, *policy, oracle_live, &oracle);
+
+      EXPECT_EQ(observer.error_stats().count(), w.size());
+      EXPECT_EQ(observer.error_stats().count(), oracle.error_stats().count());
+      EXPECT_EQ(bits(observer.error_stats().sum()), bits(oracle.error_stats().sum()));
+      EXPECT_EQ(bits(observer.error_stats().mean()), bits(oracle.error_stats().mean()));
+      EXPECT_EQ(bits(observer.error_stats().max()), bits(oracle.error_stats().max()));
+      EXPECT_EQ(bits(observer.signed_error_stats().sum()),
+                bits(oracle.signed_error_stats().sum()));
+      EXPECT_EQ(bits(observer.signed_error_stats().mean()),
+                bits(oracle.signed_error_stats().mean()));
+      EXPECT_EQ(bits(observer.signed_error_stats().min()),
+                bits(oracle.signed_error_stats().min()));
+      EXPECT_EQ(bits(observer.wait_stats().mean()), bits(oracle.wait_stats().mean()));
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "workload/workload.hpp"
@@ -42,6 +43,10 @@ struct SiteCase {
   bool has_max;
   bool has_queue;
 };
+
+// gtest lists a parameter without a printer as its raw bytes, which would
+// put pointers that move with ASLR into every listed name.
+void PrintTo(const SiteCase& c, std::ostream* os) { *os << c.name; }
 
 class SiteParam : public ::testing::TestWithParam<SiteCase> {};
 

@@ -1,7 +1,7 @@
 // rtlint — repo-specific determinism linter.
 //
 // The project's headline contract is reproducibility: byte-identical tables
-// at any thread count, bit-identical cache-on/off service answers,
+// at any thread count, service answers bit-identical to the recompute oracle,
 // policy-independent fault sequences.  Generic tools (compilers, clang-tidy,
 // sanitizers) cannot check the conventions that contract rests on, so this
 // tool does.  It scans a comment- and string-scrubbed view of every source
